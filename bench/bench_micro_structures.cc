@@ -127,6 +127,39 @@ BM_TlbProbe(benchmark::State &state)
 }
 BENCHMARK(BM_TlbProbe);
 
+/**
+ * Shootdowns on a Table 2 GPU (64 CUs) whose L1s are all full, each
+ * with its own 32 pages. Arg 0 shoots down pages no TLB holds, the
+ * common case (an L2 set probe plus one index probe; no L1 is
+ * visited). Arg 1 shoots down a resident page and refills it, so each
+ * iteration is one shootdown plus one fill.
+ */
+void
+BM_TlbHierarchyShootdown(benchmark::State &state)
+{
+    SystemConfig cfg;
+    TlbHierarchy h(cfg);
+    const std::uint32_t cus = h.numCus();
+    const std::uint32_t perCu = cfg.l1Tlb.entries;
+    for (std::uint32_t cu = 0; cu < cus; ++cu)
+        for (std::uint32_t i = 0; i < perCu; ++i)
+            h.fill(cu, cu * perCu + i, TlbEntry{cu * perCu + i, true});
+    const bool resident = state.range(0) != 0;
+    const Vpn pages = Vpn{cus} * perCu;
+    Rng rng(17);
+    for (auto _ : state) {
+        if (resident) {
+            const Vpn vpn = rng.below(pages);
+            benchmark::DoNotOptimize(h.shootdown(vpn));
+            h.fill(static_cast<std::uint32_t>(vpn / perCu), vpn,
+                   TlbEntry{vpn, true});
+        } else {
+            benchmark::DoNotOptimize(h.shootdown(pages + rng.below(pages)));
+        }
+    }
+}
+BENCHMARK(BM_TlbHierarchyShootdown)->Arg(0)->Arg(1);
+
 void
 BM_PageTableWalk(benchmark::State &state)
 {

@@ -44,7 +44,8 @@ class SetAssocArray
      * @param ways    associativity; ways == entries gives full assoc.
      */
     SetAssocArray(std::uint32_t entries, std::uint32_t ways)
-        : _ways(ways), _sets(ways ? entries / ways : 0), _lines(entries)
+        : _ways(ways), _sets(ways ? entries / ways : 0), _keys(entries),
+          _meta(entries), _lastUse(entries), _values(entries)
     {
         IDYLL_ASSERT(ways > 0 && entries > 0, "empty cache geometry");
         IDYLL_ASSERT(entries % ways == 0,
@@ -92,34 +93,25 @@ class SetAssocArray
     Value *
     lookup(Key key, bool touch = true)
     {
-        const std::uint32_t set = setOf(key);
-        for (std::uint32_t w = 0; w < _ways; ++w) {
-            Line &line = at(set, w);
-            if (line.valid && line.key == key) {
-                if (touch) {
-                    line.lastUse = ++_clock;
-                    if (_pred && line.deadHint && !line.reused)
-                        _pred->trainHitOnDeadHint(
-                            static_cast<std::uint64_t>(key));
-                    line.reused = true;
-                }
-                return &line.value;
-            }
+        const std::size_t i = find(key);
+        if (i == kNone)
+            return nullptr;
+        if (touch) {
+            _lastUse[i] = ++_clock;
+            Meta &m = _meta[i];
+            if (_pred && m.deadHint && !m.reused)
+                _pred->trainHitOnDeadHint(static_cast<std::uint64_t>(key));
+            m.reused = true;
         }
-        return nullptr;
+        return &_values[i];
     }
 
     /** Const lookup without recency update. */
     const Value *
     peek(Key key) const
     {
-        const std::uint32_t set = setOf(key);
-        for (std::uint32_t w = 0; w < _ways; ++w) {
-            const Line &line = at(set, w);
-            if (line.valid && line.key == key)
-                return &line.value;
-        }
-        return nullptr;
+        const std::size_t i = find(key);
+        return i == kNone ? nullptr : &_values[i];
     }
 
     /**
@@ -133,55 +125,43 @@ class SetAssocArray
     insert(Key key, Value value, bool *evictedReused = nullptr)
     {
         const std::uint32_t set = setOf(key);
-        Line *victim = nullptr;
-        for (std::uint32_t w = 0; w < _ways; ++w) {
-            Line &line = at(set, w);
-            if (line.valid && line.key == key) {
-                line.value = std::move(value);
-                line.lastUse = ++_clock;
-                line.reused = true;
-                return std::nullopt;
-            }
-            if (!line.valid) {
-                if (!victim || victim->valid)
-                    victim = &line;
-            } else if (!victim ||
-                       (victim->valid && line.lastUse < victim->lastUse)) {
-                victim = &line;
-            }
+        if (const std::size_t i = find(set, key); i != kNone) {
+            _values[i] = std::move(value);
+            _lastUse[i] = ++_clock;
+            _meta[i].reused = true;
+            return std::nullopt;
         }
-        IDYLL_ASSERT(victim, "no victim way found");
+        const std::size_t victim = victimOf(set);
+        Meta &m = _meta[victim];
         std::optional<std::pair<Key, Value>> displaced;
-        if (victim->valid) {
+        if (m.valid) {
             if (_pred) {
                 _pred->trainEviction(
-                    static_cast<std::uint64_t>(victim->key),
-                    victim->reused);
+                    static_cast<std::uint64_t>(_keys[victim]), m.reused);
             }
-            if (!victim->reused)
+            if (!m.reused)
                 _deadEvictions.inc();
             if (evictedReused)
-                *evictedReused = victim->reused;
-            displaced.emplace(victim->key, std::move(victim->value));
+                *evictedReused = m.reused;
+            displaced.emplace(_keys[victim], std::move(_values[victim]));
         } else {
             ++_valid;
         }
-        victim->valid = true;
-        victim->key = key;
-        victim->value = std::move(value);
-        victim->reused = false;
-        victim->deadHint =
-            _pred &&
-            _pred->predictDead(static_cast<std::uint64_t>(key));
-        if (victim->deadHint) {
+        m.valid = true;
+        m.reused = false;
+        m.deadHint =
+            _pred && _pred->predictDead(static_cast<std::uint64_t>(key));
+        _keys[victim] = key;
+        _values[victim] = std::move(value);
+        if (m.deadHint) {
             // LIP: a predicted-dead entry enters at the LRU position,
             // so it is the set's next victim unless it proves itself
             // with a hit. Ties between dead insertions are broken by
             // way order — deterministic.
-            victim->lastUse = 0;
+            _lastUse[victim] = 0;
             _deadInserts.inc();
         } else {
-            victim->lastUse = ++_clock;
+            _lastUse[victim] = ++_clock;
         }
         return displaced;
     }
@@ -190,24 +170,20 @@ class SetAssocArray
     bool
     erase(Key key)
     {
-        const std::uint32_t set = setOf(key);
-        for (std::uint32_t w = 0; w < _ways; ++w) {
-            Line &line = at(set, w);
-            if (line.valid && line.key == key) {
-                line.valid = false;
-                --_valid;
-                return true;
-            }
-        }
-        return false;
+        const std::size_t i = find(key);
+        if (i == kNone)
+            return false;
+        _meta[i].valid = false;
+        --_valid;
+        return true;
     }
 
     /** Invalidate everything (TLB shootdown helper). */
     void
     flushAll()
     {
-        for (Line &line : _lines)
-            line.valid = false;
+        for (Meta &m : _meta)
+            m.valid = false;
         _valid = 0;
     }
 
@@ -220,9 +196,9 @@ class SetAssocArray
     flushIf(Pred pred)
     {
         std::uint32_t removed = 0;
-        for (Line &line : _lines) {
-            if (line.valid && pred(line.key)) {
-                line.valid = false;
+        for (std::size_t i = 0; i < _meta.size(); ++i) {
+            if (_meta[i].valid && pred(_keys[i])) {
+                _meta[i].valid = false;
                 --_valid;
                 ++removed;
             }
@@ -235,21 +211,25 @@ class SetAssocArray
     void
     forEach(Fn fn) const
     {
-        for (const Line &line : _lines)
-            if (line.valid)
-                fn(line.key, line.value);
+        for (std::size_t i = 0; i < _meta.size(); ++i)
+            if (_meta[i].valid)
+                fn(_keys[i], _values[i]);
     }
 
   private:
-    struct Line
+    /**
+     * Per-line state other than the tag, value and recency. Lines are
+     * stored as parallel arrays so a set's tag scan reads only the
+     * tags (a 32-way set is four cache lines, not twenty).
+     */
+    struct Meta
     {
         bool valid = false;
         bool reused = false;   ///< re-referenced since insertion
         bool deadHint = false; ///< inserted under a dead prediction
-        Key key{};
-        Value value{};
-        std::uint64_t lastUse = 0;
     };
+
+    static constexpr std::size_t kNone = ~std::size_t{0};
 
     std::uint32_t
     setOf(Key key) const
@@ -262,14 +242,43 @@ class SetAssocArray
         return static_cast<std::uint32_t>(hash % _sets);
     }
 
-    Line &at(std::uint32_t set, std::uint32_t way)
+    /**
+     * Replacement victim in @p set: the first invalid way, else the
+     * least recently used way (the first of equals). The recency
+     * comparison is a select, not a branch: which way is older is a
+     * coin flip the branch predictor cannot learn.
+     */
+    std::size_t
+    victimOf(std::uint32_t set) const
     {
-        return _lines[static_cast<std::size_t>(set) * _ways + way];
+        const std::size_t base = set * std::size_t{_ways};
+        std::size_t victim = base;
+        std::uint64_t oldest = ~std::uint64_t{0};
+        for (std::size_t i = base; i < base + _ways; ++i) {
+            if (!_meta[i].valid)
+                return i;
+            const bool older = _lastUse[i] < oldest;
+            oldest = older ? _lastUse[i] : oldest;
+            victim = older ? i : victim;
+        }
+        return victim;
     }
 
-    const Line &at(std::uint32_t set, std::uint32_t way) const
+    /** Line index of the valid line holding @p key, or kNone. */
+    std::size_t find(Key key) const { return find(setOf(key), key); }
+
+    std::size_t
+    find(std::uint32_t set, Key key) const
     {
-        return _lines[static_cast<std::size_t>(set) * _ways + way];
+        const std::size_t base = set * std::size_t{_ways};
+        const Key *keys = _keys.data() + base;
+        for (std::uint32_t w = 0; w < _ways; ++w) {
+            // A stale tag may linger in an invalid way; check validity
+            // only on a tag match.
+            if (keys[w] == key && _meta[base + w].valid)
+                return base + w;
+        }
+        return kNone;
     }
 
     std::uint32_t _ways;
@@ -278,7 +287,10 @@ class SetAssocArray
     std::uint32_t _setMask = 0;
     std::uint32_t _valid = 0;
     std::uint64_t _clock = 0;
-    std::vector<Line> _lines;
+    std::vector<Key> _keys;
+    std::vector<Meta> _meta;
+    std::vector<std::uint64_t> _lastUse;
+    std::vector<Value> _values;
     ReusePredictor *_pred = nullptr;
     Counter _deadInserts;
     Counter _deadEvictions;

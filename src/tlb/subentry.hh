@@ -24,6 +24,7 @@
 #define IDYLL_TLB_SUBENTRY_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -46,7 +47,8 @@ class SubEntryTlbArray
   public:
     explicit SubEntryTlbArray(const TlbConfig &cfg)
         : _sub(cfg.subEntries), _slotMask(cfg.subEntries - 1),
-          _shift(log2of(cfg.subEntries)),
+          _shift(static_cast<std::uint32_t>(
+              std::countr_zero(cfg.subEntries))),
           _blocks(cfg.entries / cfg.subEntries,
                   std::min(cfg.ways, cfg.entries / cfg.subEntries))
     {
@@ -64,7 +66,7 @@ class SubEntryTlbArray
     {
         std::uint32_t total = 0;
         _blocks.forEach([&](std::uint64_t, const Block &b) {
-            total += popcount64(b.validMask);
+            total += static_cast<std::uint32_t>(std::popcount(b.validMask));
         });
         return total;
     }
@@ -100,6 +102,14 @@ class SubEntryTlbArray
             _blocks.lookup(vpn >> _shift, true);
         return std::make_pair(static_cast<Pfn>(b->basePfn + slot),
                               (b->writableMask >> slot & 1) != 0);
+    }
+
+    /** Whether @p vpn's slot is valid; no recency update. */
+    bool
+    contains(Vpn vpn) const
+    {
+        const Block *b = _blocks.peek(vpn >> _shift);
+        return b && (b->validMask >> (vpn & _slotMask) & 1);
     }
 
     /**
@@ -201,26 +211,6 @@ class SubEntryTlbArray
         std::uint64_t validMask = 0;
         std::uint64_t writableMask = 0;
     };
-
-    static std::uint32_t
-    log2of(std::uint32_t v)
-    {
-        std::uint32_t shift = 0;
-        while ((1u << shift) < v)
-            ++shift;
-        return shift;
-    }
-
-    static std::uint32_t
-    popcount64(std::uint64_t v)
-    {
-        std::uint32_t n = 0;
-        while (v) {
-            v &= v - 1;
-            ++n;
-        }
-        return n;
-    }
 
     std::uint32_t _sub;
     std::uint64_t _slotMask;

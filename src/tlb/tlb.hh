@@ -25,6 +25,7 @@
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
+#include "tlb/residency.hh"
 #include "tlb/subentry.hh"
 
 namespace idyll
@@ -78,6 +79,21 @@ class Tlb
         }
         _misses.inc();
         return std::nullopt;
+    }
+
+    /**
+     * Count a probe already known to miss (the caller's residency index
+     * says the translation is absent) without scanning the tags. A miss
+     * changes no replacement state, so this equals probe() returning
+     * nullopt.
+     */
+    void countMiss() { _misses.inc(); }
+
+    /** Whether @p vpn is resident; no stats or recency update. */
+    bool
+    contains(Vpn vpn) const
+    {
+        return _sub ? _sub->contains(vpn) : _flat->peek(vpn) != nullptr;
     }
 
     /**
@@ -194,7 +210,15 @@ struct TlbProbeResult
     Cycles latency = 0; ///< cycles consumed by the probe(s)
 };
 
-/** Per-GPU TLB hierarchy. */
+/**
+ * Per-GPU TLB hierarchy.
+ *
+ * An L1ResidencyIndex tracks which CUs' L1s hold each VPN, so a
+ * shootdown visits only the L1s that hold the page and an L1 miss
+ * skips the tag scan. L1 contents therefore change only through the
+ * hierarchy (fill, probe's L2 refill, shootdown, flushAll); l1() is
+ * read-only for that reason.
+ */
 class TlbHierarchy
 {
   public:
@@ -210,7 +234,7 @@ class TlbHierarchy
     void fill(std::uint32_t cu, Vpn vpn, TlbEntry entry);
 
     /**
-     * Shoot down one VPN across the L2 and every L1.
+     * Shoot down one VPN in the L2 and in every L1 that holds it.
      * @return number of TLB entries invalidated.
      */
     std::uint32_t shootdown(Vpn vpn);
@@ -222,12 +246,13 @@ class TlbHierarchy
         _l2.flushAll();
         for (Tlb &l1 : _l1s)
             l1.flushAll();
+        _l1Residency.clear();
     }
 
     Tlb &l2() { return _l2; }
     const Tlb &l2() const { return _l2; }
-    Tlb &l1(std::uint32_t cu) { return _l1s[cu]; }
     const Tlb &l1(std::uint32_t cu) const { return _l1s[cu]; }
+    const L1ResidencyIndex &l1Residency() const { return _l1Residency; }
     std::uint32_t numCus() const
     {
         return static_cast<std::uint32_t>(_l1s.size());
@@ -246,8 +271,12 @@ class TlbHierarchy
     }
 
   private:
+    /** Fill CU @p cu's L1 and keep the residency index in step. */
+    void fillL1(std::uint32_t cu, Vpn vpn, TlbEntry entry);
+
     std::vector<Tlb> _l1s;
     Tlb _l2;
+    L1ResidencyIndex _l1Residency;
     /** Fill-eviction scratch, reused across calls (hot path). */
     std::vector<Vpn> _evictScratch;
     Tracer *_tracer = nullptr;

@@ -164,6 +164,34 @@ TEST(SetAssocDeadEvict, PredictedDeadEntriesEnterAtLru)
     EXPECT_EQ(displaced->first, 100u);
 }
 
+TEST(SetAssocDeadEvict, TiedDeadInsertionsEvictInWayOrder)
+{
+    // Dead-hinted lines share recency 0; the lowest way goes first.
+    Array a(4, 4);
+    ReusePredictor pred;
+    a.attachReusePredictor(&pred);
+    for (std::uint64_t key : {100u, 101u}) {
+        for (int round = 0; round < 3; ++round) {
+            a.insert(key, 0);
+            for (int i = 0; i < 4; ++i)
+                a.insert(1000 + key * 100 + round * 10 + i, 0);
+        }
+    }
+    a.flushAll();
+    a.insert(1, 1); // way 0
+    a.insert(2, 2); // way 1
+    const std::uint64_t before = a.deadInsertions().value();
+    a.insert(100, 0); // way 2, dead hint
+    a.insert(101, 0); // way 3, dead hint
+    ASSERT_EQ(a.deadInsertions().value(), before + 2);
+    auto first = a.insert(3, 3);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->first, 100u);
+    auto second = a.insert(4, 4);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->first, 101u);
+}
+
 TEST(SetAssocDeadEvict, HitOnDeadHintRedeemsTheKey)
 {
     Array a(4, 4);

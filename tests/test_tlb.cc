@@ -73,8 +73,8 @@ TEST(TlbHierarchy, L2HitRefillsRequestingL1Only)
     EXPECT_EQ(r.latency, 1u + 10u);
 
     // CU 1's L1 now has it; CU 2's does not.
-    EXPECT_TRUE(h.l1(1).probe(42).has_value());
-    EXPECT_FALSE(h.l1(2).probe(42).has_value());
+    EXPECT_TRUE(h.l1(1).contains(42));
+    EXPECT_FALSE(h.l1(2).contains(42));
 }
 
 TEST(TlbHierarchy, FullMissLatencyIncludesBothLevels)
@@ -246,7 +246,7 @@ TEST(SubEntryTlb, HierarchyRefillKeepsLevelsCoherent)
     auto r = h.probe(1, 0x300); // L1 miss, sub-entry L2 hit
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.entry.pfn, 0x600u);
-    EXPECT_TRUE(h.l1(1).probe(0x300).has_value());
+    EXPECT_TRUE(h.l1(1).contains(0x300));
     EXPECT_EQ(h.shootdown(0x300), 3u); // L2 + CU0's and CU1's L1
 }
 
