@@ -89,6 +89,73 @@ BM_EventQueueDeepHeap(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueDeepHeap)->Arg(1024)->Arg(16384);
 
+/**
+ * Steady-state dispatch: N events stay pending while each fired event
+ * schedules one replacement, the way a running simulation holds one
+ * in-flight event per busy warp. Delays follow the mix measured on
+ * the fig11/serve/shard32 runs (about 30% under 16 cycles, 55% in
+ * 16-255, 15% in 256-4095), and one event in three is a delivery with
+ * a unique key. Unlike DeepHeap, the queue never drains.
+ */
+class SteadyMix
+{
+  public:
+    SteadyMix(EventQueue &eq, std::size_t pending) : _eq(eq)
+    {
+        Rng rng(31);
+        for (Cycles &delay : _delays) {
+            const std::uint64_t roll = rng.below(100);
+            delay = roll < 30   ? 1 + rng.below(15)
+                    : roll < 85 ? 16 + rng.below(240)
+                                : 256 + rng.below(3840);
+        }
+        for (std::size_t i = 0; i < pending; ++i)
+            spawn();
+    }
+
+    void
+    spawn()
+    {
+        const Cycles delay = _delays[_cursor % _delays.size()];
+        if (++_cursor % 3 == 0)
+            _eq.scheduleDelivery(_eq.now() + delay, _nextKey++,
+                                 Fire{this, {}});
+        else
+            _eq.schedule(delay, Fire{this, {}});
+    }
+
+  private:
+    struct Fire
+    {
+        SteadyMix *mix;
+        std::array<std::uint64_t, 5> payload;
+
+        void
+        operator()()
+        {
+            benchmark::DoNotOptimize(payload);
+            mix->spawn();
+        }
+    };
+
+    EventQueue &_eq;
+    std::array<Cycles, 4096> _delays{};
+    std::uint64_t _cursor = 0;
+    /** Delivery keys in the interconnect's range (lane ids from 1). */
+    std::uint64_t _nextKey = std::uint64_t{1} << 48;
+};
+
+void
+BM_EventQueueSteadyMix(benchmark::State &state)
+{
+    EventQueue eq;
+    SteadyMix mix(eq, static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eq.step());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteadyMix)->Arg(512)->Arg(4096)->Arg(32768);
+
 void
 BM_IrmbInsert(benchmark::State &state)
 {

@@ -211,7 +211,8 @@ ShardScheduler::runSharded(Tick maxTick)
     // exactly on maxTick; an unbounded drain leaves the clock at the
     // last executed REAL event's tick, globally. (A shard whose final
     // window dispatched keepalive wakes past that tick snaps back --
-    // its queue is empty, so no pending event can observe the move.)
+    // it holds no live event, so none can observe the move; setClock
+    // reclaims the cancelled keepalive wakes it still holds.)
     Tick final;
     if (maxTick != kMaxTick) {
         final = maxTick;
@@ -223,7 +224,7 @@ ShardScheduler::runSharded(Tick maxTick)
             final = std::max(final, shardQueue(s)._lastRealTick);
     }
     for (std::uint32_t s = 0; s < _shards; ++s)
-        shardQueue(s)._now = final;
+        shardQueue(s).setClock(final);
     return final;
 }
 

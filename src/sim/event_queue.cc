@@ -9,8 +9,8 @@
 namespace idyll
 {
 
-thread_local EventQueue *EventQueue::tlsCurrent = nullptr;
-thread_local std::uint32_t EventQueue::tlsShardId = 0;
+constinit thread_local EventQueue *EventQueue::tlsCurrent = nullptr;
+constinit thread_local std::uint32_t EventQueue::tlsShardId = 0;
 
 namespace
 {
@@ -43,7 +43,7 @@ EventQueue::growArena()
     // so a steady-state simulation stops allocating entirely.
     auto slab = std::make_unique<Node[]>(kSlabNodes);
     for (std::size_t i = 0; i < kSlabNodes; ++i) {
-        slab[i].nextFree = _freeList;
+        slab[i].next = _freeList;
         _freeList = &slab[i];
     }
     _slabs.push_back(std::move(slab));
@@ -54,7 +54,7 @@ EventQueue::recycle(Node *node)
 {
     node->fn.reset();
     node->scheduled = false;
-    node->nextFree = _freeList;
+    node->next = _freeList;
     _freeList = node;
 }
 
@@ -75,7 +75,7 @@ EventQueue::cancelLocal(EventId id)
     if (!node || !node->scheduled || node->seq != id._seq ||
         node->isCancelled)
         return false;
-    // The heap entry is reclaimed lazily when it surfaces; release the
+    // The entry is reclaimed lazily when it surfaces; release the
     // captured state now so cancellation frees resources immediately.
     node->isCancelled = true;
     node->fn.reset();
@@ -91,26 +91,71 @@ EventQueue::cancelKeepalives()
 {
     if (_keepalivePending == 0)
         return;
-    for (const HeapEntry &entry : _heap) {
-        Node *node = entry.node;
+    auto drop = [this](Node *node) {
         if (node->scheduled && node->keepalive && !node->isCancelled) {
             node->isCancelled = true;
             node->fn.reset();
             --_livePending;
             --_keepalivePending;
         }
+    };
+    for (std::uint64_t words = _wordBits; words; words &= words - 1) {
+        const std::size_t word = std::countr_zero(words);
+        for (std::uint64_t bits = _slotBits[word]; bits; bits &= bits - 1) {
+            const std::size_t slot = word * 64 + std::countr_zero(bits);
+            for (Node *node = _wheel[slot].head; node; node = node->next)
+                drop(node);
+        }
+    }
+    for (const HeapEntry &entry : _far)
+        drop(entry.node);
+}
+
+std::size_t
+EventQueue::nextSlotBeyond(std::size_t word)
+{
+    // Summary bits are cleared lazily: a set bit may name a word whose
+    // slots have all emptied since. Later words first, then wrap.
+    std::uint64_t later = _wordBits & ~((std::uint64_t{2} << word) - 1);
+    for (;;) {
+        const std::uint64_t candidates = later ? later : _wordBits;
+        if (!candidates)
+            return kWheelSpan;
+        const std::size_t w = std::countr_zero(candidates);
+        if (_slotBits[w])
+            return w * 64 + std::countr_zero(_slotBits[w]);
+        _wordBits &= ~(std::uint64_t{1} << w);
+        later &= ~(std::uint64_t{1} << w);
     }
 }
 
 void
-EventQueue::pruneCancelledTop()
+EventQueue::migrateFar()
 {
-    while (!_heap.empty() && _heap.front().node->isCancelled) {
-        Node *node = _heap.front().node;
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        _heap.pop_back();
-        recycle(node);
+    // The far heap pops in (when, key, seq) order and no wheel entry
+    // shares a migrating event's tick yet, so every migrant lands in
+    // its bucket's sorted position.
+    while (!_far.empty() && _far.front().when - _now < kWheelSpan) {
+        Node *node = _far.front().node;
+        std::pop_heap(_far.begin(), _far.end(), Later{});
+        _far.pop_back();
+        pushWheel(node);
     }
+}
+
+void
+EventQueue::setClock(Tick t)
+{
+    // top() reclaims the cancelled entries in front of the first live
+    // event. Moving backward happens only at the end of a sharded
+    // drain, when no live event is pending: the wheel is then empty,
+    // so no slot can alias a tick of the new span.
+    const Node *node = top();
+    IDYLL_ASSERT(!node || (t >= _now && node->when >= t),
+                 "clock moved from ", _now, " to ", t,
+                 " past the pending event at ", node->when);
+    _now = t;
+    migrateFar();
 }
 
 void
@@ -142,22 +187,25 @@ bool
 EventQueue::step()
 {
     IDYLL_ASSERT(!_router, "step() is unsupported on a sharded queue");
-    pruneCancelledTop();
-    if (_heap.empty())
+    Node *node = top();
+    if (!node)
         return false;
-    dispatchTop();
+    dispatch(node);
     return true;
 }
 
 void
-EventQueue::dispatchTop()
+EventQueue::dispatch(Node *node)
 {
-    Node *node = _heap.front().node;
-    std::pop_heap(_heap.begin(), _heap.end(), Later{});
-    _heap.pop_back();
-
+    unlinkTop(node);
     IDYLL_ASSERT(node->when >= _now, "time went backwards");
-    _now = node->when;
+    if (node->when != _now) {
+        _now = node->when;
+        // Before the callback runs: it may schedule at a migrant's
+        // tick, and the migrant must already hold its place.
+        if (!_far.empty() && _far.front().when - _now < kWheelSpan)
+            migrateFar();
+    }
     ++_executed;
     --_livePending;
     if (node->keepalive)
@@ -207,15 +255,12 @@ EventQueue::watchdogTrip()
     constexpr std::size_t kMaxDumped = 32;
     std::size_t dumped = 0;
     while (dumped < kMaxDumped) {
-        pruneCancelledTop();
-        if (_heap.empty())
+        Node *node = top();
+        if (!node)
             break;
-        const HeapEntry &top = _heap.front();
-        os << who << ":   pending event tick=" << top.when
-           << " seq=" << top.seq << "\n";
-        Node *node = top.node;
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        _heap.pop_back();
+        os << who << ":   pending event tick=" << node->when
+           << " seq=" << node->seq << "\n";
+        unlinkTop(node);
         --_livePending;
         recycle(node);
         ++dumped;
@@ -232,9 +277,8 @@ EventQueue::watchdogTrip()
 Tick
 EventQueue::runLocal(Tick maxTick)
 {
-    for (;;) {
-        pruneCancelledTop();
-        if (_heap.empty() || _heap.front().when > maxTick)
+    while (Node *node = top()) {
+        if (node->when > maxTick)
             break;
         // An unbounded drain ends with the last real event: once only
         // keepalive wakes remain, cancel them so the clock stays on
@@ -244,16 +288,16 @@ EventQueue::runLocal(Tick maxTick)
         if (maxTick == kMaxTick && _keepalivePending > 0 &&
             _livePending == _keepalivePending) {
             cancelKeepalives();
-            pruneCancelledTop();
+            top(); // reclaim the cancelled entries in front
             break;
         }
-        dispatchTop();
+        dispatch(node);
     }
     // With an explicit horizon the clock lands exactly on it, so
     // bounded callers (and anything they schedule next) see monotonic,
     // gap-free time; an unbounded drain keeps the last event's tick.
     if (maxTick != kMaxTick && _now < maxTick)
-        _now = maxTick;
+        setClock(maxTick);
     return _now;
 }
 

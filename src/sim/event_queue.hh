@@ -19,9 +19,22 @@
  *  - Event nodes live in a slab arena with an intrusive free list.
  *    Executed and cancelled nodes are recycled, so a steady-state
  *    simulation performs zero allocations per event.
- *  - The priority queue itself orders lightweight (tick, key, seq,
- *    node*) entries, so heap sift operations move 32-byte records
- *    instead of whole callbacks.
+ *  - Pending events sit in a timing wheel: one bucket per tick over
+ *    the next kWheelSpan ticks, each an intrusive list threaded
+ *    through the pooled nodes and kept in (key, seq) order. Ordinary
+ *    events append at the tail in O(1); keepalives and deliveries
+ *    walk in past the same-tick deliveries that sort before them. A
+ *    two-level occupancy bitmap finds the next non-empty tick with
+ *    count-trailing-zeros steps; the run loops hand the node found
+ *    straight to dispatch, so each dispatched event costs one scan.
+ *    Buckets own no storage: the wheel adds a fixed array of
+ *    head/tail pointers per queue, and nodes reuse their free-list
+ *    link as the bucket link.
+ *  - Events beyond the wheel's span wait in a binary heap of 32-byte
+ *    (tick, key, seq, node*) records. They move into the wheel as the
+ *    clock comes within one span of them, before anything else can
+ *    be scheduled at their tick, so the wheel and the heap never hold
+ *    the same tick and execution order stays exactly (tick, key, seq).
  *
  * Sharded execution (DESIGN.md section 10): a run may be partitioned
  * into one EventQueue shard per device group. The System's root queue
@@ -56,6 +69,8 @@
 #define IDYLL_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -201,7 +216,8 @@ class InlineEvent
     reset()
     {
         if (_ops) {
-            _ops->destroy(_storage);
+            if (_ops->destroy)
+                _ops->destroy(_storage);
             _ops = nullptr;
         }
     }
@@ -231,6 +247,7 @@ class InlineEvent
     {
         void (*invoke)(void *);
         void (*relocate)(void *dst, void *src) noexcept;
+        /** Null for trivially destructible inline callables. */
         void (*destroy)(void *) noexcept;
         bool inlineStored;
     };
@@ -279,9 +296,11 @@ class InlineEvent
     };
 
     template <typename Fn>
-    static constexpr Ops kInlineOps{&InlineModel<Fn>::invoke,
-                                    &InlineModel<Fn>::relocate,
-                                    &InlineModel<Fn>::destroy, true};
+    static constexpr Ops kInlineOps{
+        &InlineModel<Fn>::invoke, &InlineModel<Fn>::relocate,
+        std::is_trivially_destructible_v<Fn> ? nullptr
+                                             : &InlineModel<Fn>::destroy,
+        true};
 
     template <typename Fn>
     static constexpr Ops kHeapOps{&HeapModel<Fn>::invoke,
@@ -379,6 +398,13 @@ class EventQueue
         void *_node = nullptr;
         EventQueue *_owner = nullptr;
     };
+
+    /**
+     * Ticks covered by the timing wheel: [now, now + kWheelSpan).
+     * Scheduling delays in the simulator are almost all below 4096
+     * cycles; events further out wait in the far heap.
+     */
+    static constexpr Tick kWheelSpan = 4096;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -480,8 +506,8 @@ class EventQueue
 
     /**
      * Deschedule a pending event. The node is reclaimed lazily when
-     * its heap entry surfaces; the callback (and everything it
-     * captured) is destroyed immediately.
+     * it surfaces at the front of the queue; the callback (and
+     * everything it captured) is destroyed immediately.
      * @return true if the event was pending and is now cancelled;
      *         false for stale handles (already executed, already
      *         cancelled, or default-constructed).
@@ -635,7 +661,10 @@ class EventQueue
     friend class ShardScheduler;
     friend class ShardScope;
 
-    /** One pooled event. Nodes never move; the heap orders pointers. */
+    /**
+     * One pooled event. Nodes never move. `next` links a free node
+     * into the free list and a pending wheel node into its bucket.
+     */
     struct Node
     {
         Tick when = 0;
@@ -645,10 +674,10 @@ class EventQueue
         bool isCancelled = false;
         bool keepalive = false;
         InlineEvent fn;
-        Node *nextFree = nullptr;
+        Node *next = nullptr;
     };
 
-    /** Lightweight heap record; sift operations move 32 bytes. */
+    /** Far-heap record; sift operations move 32 bytes. */
     struct HeapEntry
     {
         Tick when;
@@ -674,6 +703,19 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
+
+    /** One wheel bucket: the events of one tick, in (key, seq) order. */
+    struct Bucket
+    {
+        Node *head = nullptr;
+        Node *tail = nullptr;
+    };
+
+    static constexpr Tick kWheelMask = kWheelSpan - 1;
+    /** 64-bit occupancy words; one summary word indexes all of them. */
+    static constexpr std::size_t kWheelWords = kWheelSpan / 64;
+    static_assert((kWheelSpan & kWheelMask) == 0 && kWheelWords <= 64,
+                  "wheel span must be a power of two up to 64 * 64");
 
     static constexpr std::size_t kSlabNodes = 256;
 
@@ -706,8 +748,8 @@ class EventQueue
         try {
             node->fn.emplace(std::forward<F>(fn));
         } catch (...) {
-            // The node is already in the heap; abandon it as a
-            // cancelled entry so pruning reclaims it lazily.
+            // The node is already queued; abandon it as a cancelled
+            // entry so pruning reclaims it lazily.
             node->isCancelled = true;
             --_livePending;
             throw;
@@ -716,8 +758,8 @@ class EventQueue
     }
 
     /**
-     * Claim a node, stamp it with (when, key, seq), and push its heap
-     * entry. The caller then constructs the callback in place via
+     * Claim a node, stamp it with (when, key, seq), and queue it. The
+     * caller then constructs the callback in place via
      * node->fn.emplace(), so scheduling performs zero callback moves.
      * Inline: this is the hottest function in the simulator.
      */
@@ -727,26 +769,119 @@ class EventQueue
         if (!_freeList)
             growArena();
         Node *node = _freeList;
-        _freeList = node->nextFree;
-        node->nextFree = nullptr;
+        _freeList = node->next;
         node->scheduled = true;
         node->isCancelled = false;
         node->keepalive = false;
         node->when = when;
         node->key = key;
         node->seq = _nextSeq++;
-        _heap.push_back(HeapEntry{when, key, node->seq, node});
-        std::push_heap(_heap.begin(), _heap.end(), Later{});
+        if (when - _now < kWheelSpan) {
+            pushWheel(node);
+        } else {
+            _far.push_back(HeapEntry{when, key, node->seq, node});
+            std::push_heap(_far.begin(), _far.end(), Later{});
+        }
         ++_livePending;
         return node;
+    }
+
+    /** Link @p node into its tick's bucket, in (key, seq) order. */
+    void
+    pushWheel(Node *node)
+    {
+        const std::size_t slot = node->when & kWheelMask;
+        Bucket &bucket = _wheel[slot];
+        node->next = nullptr;
+        if (!bucket.head) {
+            bucket.head = bucket.tail = node;
+            _slotBits[slot / 64] |= std::uint64_t{1} << (slot % 64);
+            _wordBits |= std::uint64_t{1} << (slot / 64);
+        } else if (node->key == kNormalEventKey) {
+            // seq only grows, so an ordinary event sorts last.
+            bucket.tail->next = node;
+            bucket.tail = node;
+        } else {
+            Node **link = &bucket.head;
+            while (*link && (*link)->key <= node->key)
+                link = &(*link)->next;
+            node->next = *link;
+            *link = node;
+            if (!node->next)
+                bucket.tail = node;
+        }
+    }
+
+    /**
+     * First occupied wheel slot at or after the current tick's, in
+     * tick order, or kWheelSpan when the wheel is empty. The current
+     * tick's word is checked inline; the rest is nextSlotBeyond().
+     */
+    std::size_t
+    nextSlot()
+    {
+        const std::size_t from = _now & kWheelMask;
+        const std::size_t word = from / 64;
+        const std::uint64_t bits =
+            _slotBits[word] & (~std::uint64_t{0} << (from % 64));
+        if (bits)
+            return word * 64 + std::countr_zero(bits);
+        return nextSlotBeyond(word);
+    }
+
+    std::size_t nextSlotBeyond(std::size_t word);
+
+    /**
+     * The next event in (when, key, seq) order, or null when none is
+     * pending. Cancelled entries met on the way are reclaimed. Every
+     * consumer (run loops, nextEventTick, step, the watchdog dump)
+     * goes through here, and the run loops hand the node straight to
+     * dispatch(), so each dispatched event costs one bitmap scan.
+     */
+    Node *
+    top()
+    {
+        for (;;) {
+            Node *node;
+            const std::size_t slot = nextSlot();
+            if (slot != kWheelSpan)
+                node = _wheel[slot].head;
+            else if (!_far.empty())
+                node = _far.front().node;
+            else
+                return nullptr;
+            if (!node->isCancelled)
+                return node;
+            unlinkTop(node);
+            recycle(node);
+        }
+    }
+
+    /**
+     * Remove @p node, which top() just returned, from the queue. The
+     * far heap holds exactly the events a span or more past now.
+     */
+    void
+    unlinkTop(Node *node)
+    {
+        if (node->when - _now >= kWheelSpan) {
+            std::pop_heap(_far.begin(), _far.end(), Later{});
+            _far.pop_back();
+            return;
+        }
+        const std::size_t slot = node->when & kWheelMask;
+        Bucket &bucket = _wheel[slot];
+        bucket.head = node->next;
+        if (!bucket.head)
+            _slotBits[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     }
 
     /** Earliest pending tick on THIS queue (kMaxTick when empty). */
     Tick
     nextEventTick()
     {
-        pruneCancelledTop();
-        return _heap.empty() ? kMaxTick : _heap.front().when;
+        const Node *node = top();
+        return node ? node->when : kMaxTick;
     }
 
     /** Run THIS queue's events through @p maxTick (no routing). */
@@ -760,11 +895,10 @@ class EventQueue
     void
     runWindow(Tick horizon)
     {
-        for (;;) {
-            pruneCancelledTop();
-            if (_heap.empty() || _heap.front().when > horizon)
+        while (Node *node = top()) {
+            if (node->when > horizon)
                 break;
-            dispatchTop();
+            dispatch(node);
         }
     }
 
@@ -772,28 +906,46 @@ class EventQueue
     /**
      * Cancel every pending keepalive on THIS queue (end of an
      * unbounded drain; the shard scheduler calls it per shard).
-     * Heap entries are reclaimed lazily; not counted in cancelled().
+     * Entries are reclaimed lazily; not counted in cancelled().
      */
     void cancelKeepalives();
     void growArena();
-    /** Pop, run, and recycle the top heap entry (must be live). */
-    void dispatchTop();
+    /** Unlink, run, and recycle @p node, which top() just returned. */
+    void dispatch(Node *node);
     void recycle(Node *node);
-    /** Pop and recycle cancelled entries sitting on top of the heap. */
-    void pruneCancelledTop();
+    /** Move far-heap events within one span of now into the wheel. */
+    void migrateFar();
+    /**
+     * Set the clock to @p t, keeping the wheel's slots unique. No
+     * live event may lie before @p t, and moving backward (the shard
+     * scheduler's end-of-drain snap) requires that none is pending.
+     * Cancelled entries in front, such as a drained run's keepalive
+     * wakes, are reclaimed first.
+     */
+    void setClock(Tick t);
     void checkNonNull(bool nonNull) const;
     [[noreturn]] void watchdogTrip();
 
-    static thread_local EventQueue *tlsCurrent;
-    static thread_local std::uint32_t tlsShardId;
+    // constinit: other translation units read these directly, with no
+    // call through a TLS initialisation wrapper on every schedule().
+    static constinit thread_local EventQueue *tlsCurrent;
+    static constinit thread_local std::uint32_t tlsShardId;
 
     std::vector<std::unique_ptr<Node[]>> _slabs;
     Node *_freeList = nullptr;
-    std::vector<HeapEntry> _heap;
     std::size_t _livePending = 0;
     std::size_t _keepalivePending = 0;
 
     Tick _now = 0;
+    /** Bit s of word s / 64: slot s is occupied. */
+    std::array<std::uint64_t, kWheelWords> _slotBits{};
+    /**
+     * Bit w: _slotBits[w] may be nonzero. Set on insert, cleared
+     * lazily by the scan that finds the word empty.
+     */
+    std::uint64_t _wordBits = 0;
+    /** Events at least kWheelSpan ticks past now. */
+    std::vector<HeapEntry> _far;
     /** Tick of the last dispatched non-keepalive event. */
     Tick _lastRealTick = 0;
     std::uint64_t _nextSeq = 0;
@@ -809,6 +961,9 @@ class EventQueue
     std::function<void(std::ostream &)> _wdDump;
     std::uint64_t _lastProgressEvent = 0;
     Tick _lastProgressTick = 0;
+
+    /** Wheel bucket per tick, slot = tick & kWheelMask (64 KiB). */
+    std::array<Bucket, kWheelSpan> _wheel{};
 };
 
 /**

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace idyll
 {
@@ -248,6 +253,323 @@ TEST(EventQueue, SameTickOrderStableAcrossSlabReuse)
     ASSERT_EQ(order.size(), 64u);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(order[i], i);
+}
+
+// ------------------------------------------------------------------
+// Differential order check: the wheel + far-heap queue against a
+// reference that keeps every pending event in one ordered map.
+// ------------------------------------------------------------------
+
+enum class Kind
+{
+    Ordinary,
+    Delivery,
+    Keepalive
+};
+
+/**
+ * Reference queue: (when, key, seq) order spelled out by a std::map,
+ * cancellation by erasure, and the EventQueue clock rules (bounded
+ * runs land on the bound; an unbounded drain stops after the last
+ * real event and drops the keepalives left behind).
+ */
+class RefQueue
+{
+  public:
+    using Handle = std::uint64_t;
+
+    Tick now() const { return _now; }
+
+    std::size_t pending() const { return _queue.size() - _keepalives; }
+
+    Handle
+    schedule(Kind kind, Tick when, std::uint64_t key,
+             std::function<void()> fn)
+    {
+        if (kind == Kind::Ordinary)
+            key = kNormalEventKey;
+        else if (kind == Kind::Keepalive)
+            key = kKeepaliveEventKey;
+        const Order order{when, key, _seq};
+        _queue.emplace(order,
+                       Entry{std::move(fn), kind == Kind::Keepalive});
+        _bySeq.emplace(_seq, order);
+        _keepalives += kind == Kind::Keepalive;
+        return _seq++;
+    }
+
+    bool
+    cancel(Handle h)
+    {
+        const auto it = _bySeq.find(h);
+        if (it == _bySeq.end())
+            return false;
+        const auto entry = _queue.find(it->second);
+        _keepalives -= entry->second.keepalive;
+        _queue.erase(entry);
+        _bySeq.erase(it);
+        ++_cancelled;
+        return true;
+    }
+
+    bool
+    step()
+    {
+        if (_queue.empty())
+            return false;
+        execute();
+        return true;
+    }
+
+    Tick
+    run(Tick maxTick = kMaxTick)
+    {
+        while (!_queue.empty() &&
+               std::get<0>(_queue.begin()->first) <= maxTick) {
+            if (maxTick == kMaxTick && pending() == 0) {
+                _queue.clear();
+                _bySeq.clear();
+                _keepalives = 0;
+                break;
+            }
+            execute();
+        }
+        if (maxTick != kMaxTick && _now < maxTick)
+            _now = maxTick;
+        return _now;
+    }
+
+    std::uint64_t executed() const { return _executed; }
+    std::uint64_t cancelled() const { return _cancelled; }
+
+  private:
+    using Order = std::tuple<Tick, std::uint64_t, std::uint64_t>;
+    struct Entry
+    {
+        std::function<void()> fn;
+        bool keepalive;
+    };
+
+    void
+    execute()
+    {
+        const auto it = _queue.begin();
+        _now = std::get<0>(it->first);
+        std::function<void()> fn = std::move(it->second.fn);
+        _keepalives -= it->second.keepalive;
+        _bySeq.erase(std::get<2>(it->first));
+        _queue.erase(it);
+        ++_executed;
+        fn();
+    }
+
+    std::map<Order, Entry> _queue;
+    std::map<std::uint64_t, Order> _bySeq;
+    Tick _now = 0;
+    std::uint64_t _seq = 0;
+    std::size_t _keepalives = 0;
+    std::uint64_t _executed = 0;
+    std::uint64_t _cancelled = 0;
+};
+
+/** The queue under test behind RefQueue's interface. */
+class WheelQueue
+{
+  public:
+    using Handle = EventQueue::EventId;
+
+    Tick now() const { return _eq.now(); }
+    std::size_t pending() const { return _eq.pending(); }
+
+    Handle
+    schedule(Kind kind, Tick when, std::uint64_t key,
+             std::function<void()> fn)
+    {
+        switch (kind) {
+          case Kind::Ordinary:
+            return _eq.scheduleAt(when, std::move(fn));
+          case Kind::Delivery:
+            return _eq.scheduleDelivery(when, key, std::move(fn));
+          case Kind::Keepalive:
+            break;
+        }
+        return _eq.scheduleKeepalive(when - _eq.now(), std::move(fn));
+    }
+
+    bool cancel(Handle h) { return _eq.cancel(h); }
+    bool step() { return _eq.step(); }
+    Tick run(Tick maxTick = kMaxTick) { return _eq.run(maxTick); }
+    std::uint64_t executed() const { return _eq.executed(); }
+    std::uint64_t cancelled() const { return _eq.cancelled(); }
+
+  private:
+    EventQueue _eq;
+};
+
+/** One logged observation: what happened, and two values. */
+struct Obs
+{
+    char what;
+    std::uint64_t a;
+    std::uint64_t b;
+
+    bool
+    operator==(const Obs &o) const
+    {
+        return what == o.what && a == o.a && b == o.b;
+    }
+};
+
+/**
+ * A randomized workload driven identically against either queue: the
+ * same seed makes the same decisions as long as both queues execute
+ * the same events in the same order, so the first divergence in the
+ * observation log pinpoints an ordering bug.
+ */
+template <typename Q>
+class OrderScenario
+{
+  public:
+    static constexpr Tick kSpan = EventQueue::kWheelSpan;
+
+    explicit OrderScenario(std::uint64_t seed) : _rng(seed) {}
+
+    std::vector<Obs>
+    drive()
+    {
+        for (int i = 0; i < 64; ++i)
+            spawn();
+        for (int phase = 0; phase < 80; ++phase) {
+            switch (_rng.below(4)) {
+              case 0:
+                // A bounded slice advances the clock up to 3 spans.
+                _q.run(_q.now() + _rng.below(3 * kSpan));
+                _log.push_back({'r', _q.now(), _q.pending()});
+                break;
+              case 1:
+                for (std::uint64_t n = _rng.below(64); n > 0; --n)
+                    _log.push_back({'s', _q.step(), _q.now()});
+                break;
+              case 2:
+                for (std::uint64_t n = _rng.below(8); n > 0; --n)
+                    cancelOne();
+                break;
+              default:
+                for (std::uint64_t n = _rng.below(32); n > 0; --n)
+                    spawn();
+                break;
+            }
+        }
+        _q.run();
+        _log.push_back({'e', _q.now(), _q.pending()});
+        _log.push_back({'n', _q.executed(), _q.cancelled()});
+        return _log;
+    }
+
+  private:
+    /** Delay mix: 0, short, medium, long, the span edge, and far. */
+    Tick
+    drawDelay()
+    {
+        switch (_rng.below(8)) {
+          case 0:
+            return 0;
+          case 1:
+          case 2:
+            return _rng.below(16);
+          case 3:
+          case 4:
+            return _rng.below(256);
+          case 5:
+            return _rng.below(kSpan);
+          case 6:
+            return kSpan - 1 + _rng.below(3);
+          default:
+            return _rng.below(3 * kSpan + 1);
+        }
+    }
+
+    void
+    spawn(bool fromKeepalive = false)
+    {
+        if (_handles.size() >= 8000)
+            return;
+        const std::uint64_t roll = _rng.below(10);
+        const Kind kind = fromKeepalive ? Kind::Keepalive
+                          : roll < 6    ? Kind::Ordinary
+                          : roll < 9    ? Kind::Delivery
+                                        : Kind::Keepalive;
+        const std::uint64_t id = _handles.size();
+        // Random high bits, unique low bits: keys never repeat.
+        const std::uint64_t key = (_rng.next() >> 24 << 24) | (id + 1);
+        const Tick when = _q.now() + drawDelay();
+        _handles.push_back(_q.schedule(kind, when, key, [this, id, kind] {
+            fire(id, kind == Kind::Keepalive);
+        }));
+    }
+
+    void
+    fire(std::uint64_t id, bool keepalive)
+    {
+        _log.push_back({'x', id, _q.now()});
+        if (keepalive) {
+            // Keepalives only observe; they may re-arm themselves.
+            if (_rng.below(4) != 0)
+                spawn(true);
+            return;
+        }
+        for (std::uint64_t n = _rng.below(3); n > 0; --n)
+            spawn();
+        if (_rng.below(4) == 0)
+            cancelOne();
+    }
+
+    /** Cancel a recent event (often this tick's) or any earlier one. */
+    void
+    cancelOne()
+    {
+        if (_handles.empty())
+            return;
+        const std::uint64_t n = _handles.size();
+        const std::uint64_t recent = std::min<std::uint64_t>(n, 4);
+        const std::uint64_t id = _rng.below(2) == 0
+                                     ? n - 1 - _rng.below(recent)
+                                     : _rng.below(n);
+        _log.push_back({'c', id, _q.cancel(_handles[id])});
+    }
+
+    Q _q;
+    Rng _rng;
+    std::vector<typename Q::Handle> _handles;
+    std::vector<Obs> _log;
+};
+
+TEST(EventQueue, MatchesReferenceOrderUnderRandomizedChurn)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const std::vector<Obs> want = OrderScenario<RefQueue>(seed).drive();
+        const std::vector<Obs> got = OrderScenario<WheelQueue>(seed).drive();
+        std::size_t i = 0;
+        while (i < want.size() && i < got.size() && want[i] == got[i])
+            ++i;
+        ASSERT_EQ(i, want.size())
+            << "seed " << seed << ": first divergence at observation "
+            << i << " of " << want.size() << " (got "
+            << (i < got.size() ? std::string(1, got[i].what) +
+                                     std::to_string(got[i].a) + "/" +
+                                     std::to_string(got[i].b)
+                               : std::string("end"))
+            << ")";
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        // The workload must reach every path it is meant to cover.
+        std::size_t executed = 0, cancels = 0;
+        for (const Obs &o : want) {
+            executed += o.what == 'x';
+            cancels += o.what == 'c' && o.b;
+        }
+        EXPECT_GT(executed, 1000u) << "seed " << seed;
+        EXPECT_GT(cancels, 50u) << "seed " << seed;
+    }
 }
 
 TEST(InlineEvent, SchedulingSiteSizedCapturesStayInline)

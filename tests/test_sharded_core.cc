@@ -257,6 +257,60 @@ TEST(ShardedCore, DepositsFromDifferentShardsInterleaveByKey)
     EXPECT_EQ(order, (std::vector<int>{2, 5}));
 }
 
+TEST(ShardedCore, ClockSnapBackKeepsLaterSchedulesInOrder)
+{
+    // An unbounded sharded drain snaps every shard's clock back to the
+    // last real tick. Here shard 1's final window runs a keepalive
+    // chain three wheel spans past that tick, so the cancelled wake it
+    // leaves behind (tick 14337) shares a wheel slot with tick 2049 of
+    // the snapped-back clock. Events scheduled afterwards at 2049 and
+    // 14337 must still run in exact (tick, key, seq) order. Each shard
+    // logs to its own vector: shards run a window concurrently.
+    constexpr Tick kSpan = EventQueue::kWheelSpan;
+    using Log = std::vector<std::pair<int, Tick>>;
+    EventQueue eq;
+    Log hostLog;
+    Log gpuLog;
+    {
+        ShardScheduler sched(eq, /*shards=*/2, /*numGpus=*/1,
+                             /*lookahead=*/3 * kSpan);
+        EventQueue &gpuShard = sched.shardQueue(1);
+        std::function<void()> wake = [&] {
+            eq.scheduleKeepalive(kSpan / 2, wake);
+        };
+        {
+            ShardScope scope(gpuShard, 1);
+            eq.scheduleKeepalive(1, wake);
+        }
+        eq.scheduleAt(100, [&] { hostLog.push_back({0, eq.now()}); });
+        EXPECT_EQ(eq.run(), 100u);
+        EXPECT_EQ(gpuShard.now(), 100u);
+        EXPECT_EQ(eq.pending(), 0u);
+
+        auto log = [&](int id) {
+            return [&gpuLog, &eq, id] { gpuLog.push_back({id, eq.now()}); };
+        };
+        {
+            ShardScope scope(gpuShard, 1);
+            eq.scheduleAt(14337, log(1));
+            eq.scheduleAt(2049, log(2));
+            eq.scheduleDelivery(2049, /*key=*/5, log(3));
+            eq.scheduleDelivery(14337, /*key=*/9, log(4));
+            eq.scheduleAt(6145, log(5));
+            eq.scheduleAt(2049, log(6));
+        }
+        eq.scheduleAt(2049, [&] { hostLog.push_back({7, eq.now()}); });
+        EXPECT_EQ(eq.run(), 14337u);
+    }
+    EXPECT_EQ(hostLog, (Log{{0, 100}, {7, 2049}}));
+    EXPECT_EQ(gpuLog, (Log{{3, 2049},
+                           {2, 2049},
+                           {6, 2049},
+                           {5, 6145},
+                           {4, 14337},
+                           {1, 14337}}));
+}
+
 // ------------------------------------------------------------------
 // Zero-latency degenerate windows
 // ------------------------------------------------------------------
