@@ -62,38 +62,19 @@ Gpu::launch(std::vector<std::unique_ptr<CuStream>> streams, EventFn onDone)
 // Helpers
 // --------------------------------------------------------------------
 
-namespace
-{
-
-/** Epoch of the last invalidation received for a VPN (0 if none). */
-std::uint32_t
-epochOf(const std::unordered_map<Vpn, std::uint32_t> &epochs, Vpn vpn)
-{
-    auto it = epochs.find(vpn);
-    return it == epochs.end() ? 0 : it->second;
-}
-
-} // namespace
-
 bool
 Gpu::hasValidMapping(Vpn vpn) const
 {
-    if (_dead)
-        return false;
-    if (!_localPt.findValid(vpn))
-        return false;
-    if (_irmb && _irmb->contains(vpn))
-        return false;
-    if (_writebackInFlight.count(vpn))
-        return false;
-    return true;
+    return !_dead && _localPt.findValid(vpn) && !pendingInvalid(vpn);
 }
 
 bool
 Gpu::pendingInvalid(Vpn vpn) const
 {
-    return (_irmb && _irmb->contains(vpn)) ||
-           _writebackInFlight.count(vpn) != 0;
+    if (_irmb && _irmb->contains(vpn))
+        return true;
+    auto it = _vpns.find(vpn);
+    return it != _vpns.end() && it->second.writebackInFlight;
 }
 
 bool
@@ -123,11 +104,15 @@ Gpu::access(std::uint32_t cu, VAddr va, bool write, EventFn done)
     // Tallied locally; the harness replays totals into the driver at
     // quiesce (recordAccessBulk) — a per-access driver call would be
     // a cross-shard access on the hottest path in the model.
-    ++_accessTally[vpn];
+    VpnState &state = _vpns[vpn];
+    ++state.accessTally;
 
     TlbProbeResult probe = _tlbs.probe(cu, vpn);
     if (probe.hit) {
-        if (_oracle && !(write && !probe.entry.writable))
+        // Skipped while an install walk is in flight, as in
+        // completeTranslation: the oracle's shadow state lags the PTE.
+        if (_oracle && !(write && !probe.entry.writable) &&
+            state.installsInFlight == 0)
             _oracle->onServeFromLocalPte(_id, vpn, probe.entry.pfn,
                                          write);
         if (write && !probe.entry.writable) {
@@ -196,13 +181,9 @@ Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
 
     // The IRMB is probed in parallel with the L2 TLB; a hit means the
     // local PTE is stale, so the walk is bypassed and the far fault
-    // goes straight to the driver.
-    if (_irmb && _irmb->lookup(vpn)) {
-        _stats.irmbBypassedWalks.inc();
-        raiseFarFault(vpn, wants_write, /*skipPrt=*/false);
-        return;
-    }
-    if (_writebackInFlight.count(vpn)) {
+    // goes straight to the driver. So does a write-back in flight.
+    const VpnState &state = _vpns[vpn];
+    if ((_irmb && _irmb->lookup(vpn)) || state.writebackInFlight) {
         _stats.irmbBypassedWalks.inc();
         raiseFarFault(vpn, wants_write, /*skipPrt=*/false);
         return;
@@ -211,7 +192,7 @@ Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
     WalkRequest req;
     req.kind = WalkKind::Demand;
     req.vpn = vpn;
-    const std::uint32_t epoch = epochOf(_invalEpochs, vpn);
+    const std::uint32_t epoch = state.invalEpoch;
     req.done = [this, vpn, epoch](const WalkResult &result) {
         onDemandWalkDone(vpn, epoch, result);
     };
@@ -239,8 +220,7 @@ Gpu::onDemandWalkDone(Vpn vpn, std::uint32_t epoch,
     // executed yet: the PTE still reads as the pre-invalidation
     // mapping, but serving it would be stale.
     const Pte *pte = _localPt.findValid(vpn);
-    if (pte && !pendingInvalid(vpn) &&
-        epochOf(_invalEpochs, vpn) == epoch) {
+    if (pte && !pendingInvalid(vpn) && _vpns[vpn].invalEpoch == epoch) {
         completeTranslation(vpn, pte->pfn(), pte->writable(),
                             /*requireFresh=*/true);
         return;
@@ -301,9 +281,14 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
     // the walker already wrote the (fresh) PTE at dispatch but the
     // done-callback that updates the oracle's shadow state has not
     // fired yet, so the shadow model lags the physical PTE.
-    if (requireFresh && _oracle && !_installsInFlight.count(vpn))
+    if (requireFresh && _oracle && _vpns[vpn].installsInFlight == 0)
         _oracle->onServeFromLocalPte(_id, vpn, pfn, /*write=*/false);
+    releaseWaiters(vpn, pfn, writable, /*cache=*/true);
+}
 
+void
+Gpu::releaseWaiters(Vpn vpn, Pfn pfn, bool writable, bool cache)
+{
     std::vector<Waiter> waiters = _mshr.release(vpn);
     std::vector<Waiter> need_fault;
     const Tick now = _eq.now();
@@ -312,7 +297,8 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
             need_fault.push_back(std::move(w));
             continue;
         }
-        _tlbs.fill(w.cu, vpn, TlbEntry{pfn, writable});
+        if (cache)
+            _tlbs.fill(w.cu, vpn, TlbEntry{pfn, writable});
         _stats.demandTlbMissLatency.sample(
             static_cast<double>(now - w.missStart));
         dataAccess(w.cu, vpn, pfn, w.write, 0, std::move(w.done));
@@ -342,37 +328,6 @@ Gpu::drainMissBacklog()
         handleL2Miss(miss.cu, miss.vpn, std::move(miss.waiter),
                      miss.forceFault);
     }
-}
-
-void
-Gpu::deliverWithoutCaching(Vpn vpn, Pfn pfn, bool writable)
-{
-    if (_dead)
-        return;
-    if (!_mshr.contains(vpn))
-        return;
-    std::vector<Waiter> waiters = _mshr.release(vpn);
-    std::vector<Waiter> need_fault;
-    const Tick now = _eq.now();
-    for (Waiter &w : waiters) {
-        if (w.write && !writable) {
-            need_fault.push_back(std::move(w));
-            continue;
-        }
-        _stats.demandTlbMissLatency.sample(
-            static_cast<double>(now - w.missStart));
-        dataAccess(w.cu, vpn, pfn, w.write, 0, std::move(w.done));
-    }
-    if (!need_fault.empty()) {
-        _stats.writePermissionFaults.inc();
-        for (Waiter &w : need_fault)
-            _mshr.allocate(vpn, std::move(w));
-        raiseFarFault(vpn, true, /*skipPrt=*/true);
-    } else {
-        IDYLL_LAT(_latency,
-                  finish(_id, RequestKind::Demand, _id, vpn, now));
-    }
-    drainMissBacklog();
 }
 
 void
@@ -418,10 +373,10 @@ Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
     // the GPU asks the driver to migrate the page (Section 3.3).
     if (_cfg.migrationPolicy == MigrationPolicy::AccessCounter &&
         !_cfg.pageReplication) {
-        std::uint32_t &counter = _accessCounters[vpn];
-        if (++counter >= _cfg.accessCounterThreshold &&
-            !_migrationRequested.count(vpn)) {
-            _migrationRequested.insert(vpn);
+        VpnState &state = _vpns[vpn];
+        if (++state.accessCounter >= _cfg.accessCounterThreshold &&
+            !state.migrationRequested) {
+            state.migrationRequested = true;
             _stats.migRequestsSent.inc();
             _net.send(_id, kHostId, 32, MsgClass::MigrationReq,
                       [driver = _driver, vpn, self = _id] {
@@ -480,34 +435,33 @@ Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
 void
 Gpu::receiveInvalidation(Vpn vpn, std::uint32_t round)
 {
+    IDYLL_ASSERT(round > 0, "invalidation rounds start at 1");
     if (_dead)
         return; // delivery raced the unplug; the driver self-acks
     // Necessity is judged at receipt: did this GPU logically hold a
     // servable mapping when the invalidation landed? The verdict rides
     // on the ack so the driver never probes the GPU synchronously.
     const bool wasValid = hasValidMapping(vpn);
-    if (round != 0) {
-        // Round-numbered delivery: a duplicate (injected or retried
-        // after the ack raced the timeout) must be a pure no-op beyond
-        // re-acking, or it would perturb counters and epochs. The
-        // re-ack carries the verdict remembered from the first
-        // delivery — by now the mapping is gone, so re-probing would
-        // misclassify.
-        auto seen = _seenInvalRounds.find(vpn);
-        if (seen != _seenInvalRounds.end() &&
-            round <= seen->second.round) {
-            _stats.dupInvalsIgnored.inc();
-            // Only re-ack an invalidation that has actually been
-            // applied. If the first delivery's walk is still queued
-            // (walk-queue backpressure), stay silent: the pending walk
-            // acks on completion, and the driver's retry timer covers
-            // the case where that ack is lost afterwards.
-            if (seen->second.applied)
-                sendInvalAck(vpn, round, seen->second.wasValid);
-            return;
-        }
-        _seenInvalRounds[vpn] = SeenRound{round, wasValid};
+    // A duplicate (injected or retried after the ack raced the
+    // timeout) must be a pure no-op beyond re-acking, or it would
+    // perturb counters and epochs. The re-ack carries the verdict
+    // remembered from the first delivery — by now the mapping is
+    // gone, so re-probing would misclassify.
+    VpnState &state = _vpns[vpn];
+    if (round <= state.seenRound) {
+        _stats.dupInvalsIgnored.inc();
+        // Only re-ack an invalidation that has actually been applied.
+        // If the first delivery's walk is still queued (walk-queue
+        // backpressure), stay silent: the pending walk acks on
+        // completion, and the driver's retry timer covers the case
+        // where that ack is lost afterwards.
+        if (state.seenApplied)
+            sendInvalAck(vpn, round, state.seenWasValid);
+        return;
     }
+    state.seenRound = round;
+    state.seenWasValid = wasValid;
+    state.seenApplied = false;
 
     _stats.invalsReceived.inc();
     IDYLL_TRACE(_tracer, InvalRecv, _id, vpn, round);
@@ -516,14 +470,14 @@ Gpu::receiveInvalidation(Vpn vpn, std::uint32_t round)
                               _eq.now()));
     if (wasValid)
         _stats.invalsNecessary.inc();
-    ++_invalEpochs[vpn];
+    ++state.invalEpoch;
     if (_oracle)
         _oracle->recordEvent(ProtoEvent::InvalRecv, _id, vpn, round);
 
     // TLB shootdown is immediate in both the baseline and IDYLL.
     _stats.tlbShootdownHits.inc(_tlbs.shootdown(vpn));
-    _accessCounters.erase(vpn);
-    _migrationRequested.erase(vpn);
+    state.accessCounter = 0;
+    state.migrationRequested = false;
 
     const Tick receipt = _eq.now();
     switch (_cfg.invalApply) {
@@ -599,7 +553,7 @@ Gpu::applyInstantInvalidation(Vpn vpn)
 {
     if (_dead)
         return;
-    ++_invalEpochs[vpn];
+    ++_vpns[vpn].invalEpoch;
     _tlbs.shootdown(vpn);
     if (_localPt.invalidate(vpn))
         noteMappingDropped(vpn);
@@ -613,11 +567,10 @@ Gpu::applyInstantInvalidation(Vpn vpn)
 void
 Gpu::markInvalApplied(Vpn vpn, std::uint32_t round)
 {
-    if (round == 0)
-        return; // legacy un-rounded delivery: no dedup state to update
-    auto seen = _seenInvalRounds.find(vpn);
-    if (seen != _seenInvalRounds.end() && seen->second.round == round)
-        seen->second.applied = true;
+    // An unplug since receipt reset seenRound: nothing to mark.
+    VpnState &state = _vpns[vpn];
+    if (state.seenRound == round)
+        state.seenApplied = true;
 }
 
 void
@@ -644,7 +597,7 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
         return;
     }
     for (Vpn vpn : batch)
-        _writebackInFlight.insert(vpn);
+        _vpns[vpn].writebackInFlight = true;
     const Tick submitted = _eq.now();
     WalkRequest req;
     req.kind = WalkKind::BatchInvalidate;
@@ -657,7 +610,7 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
             static_cast<double>(_eq.now() - submitted) /
             static_cast<double>(batch.size());
         for (Vpn vpn : batch) {
-            _writebackInFlight.erase(vpn);
+            _vpns[vpn].writebackInFlight = false;
             _tlbs.shootdown(vpn); // close the fill race
             noteMappingDropped(vpn);
             if (_oracle) {
@@ -677,7 +630,7 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
 void
 Gpu::submitSingleWriteback(Vpn vpn)
 {
-    _writebackInFlight.insert(vpn);
+    _vpns[vpn].writebackInFlight = true;
     const Tick submitted = _eq.now();
     WalkRequest req;
     req.kind = WalkKind::Invalidate;
@@ -685,7 +638,7 @@ Gpu::submitSingleWriteback(Vpn vpn)
     req.done = [this, vpn, submitted](const WalkResult &) {
         if (_dead)
             return;
-        _writebackInFlight.erase(vpn);
+        _vpns[vpn].writebackInFlight = false;
         _tlbs.shootdown(vpn);
         noteMappingDropped(vpn);
         if (_oracle) {
@@ -708,8 +661,9 @@ Gpu::receiveNewMapping(Vpn vpn, Pfn pfn, bool writable)
 {
     if (_dead)
         return; // delivery raced the unplug
-    _accessCounters.erase(vpn);
-    _migrationRequested.erase(vpn);
+    VpnState &state = _vpns[vpn];
+    state.accessCounter = 0;
+    state.migrationRequested = false;
     if (_irmb && _irmb->removeForNewMapping(vpn)) {
         // The buffered invalidation is elided: the new mapping's
         // update walk supersedes the deferred PTE write-back.
@@ -722,8 +676,9 @@ Gpu::receiveNewMapping(Vpn vpn, Pfn pfn, bool writable)
 void
 Gpu::installMapping(Vpn vpn, Pfn pfn, bool writable)
 {
-    const std::uint32_t epoch = epochOf(_invalEpochs, vpn);
-    ++_installsInFlight[vpn];
+    VpnState &state = _vpns[vpn];
+    const std::uint32_t epoch = state.invalEpoch;
+    ++state.installsInFlight;
     WalkRequest req;
     req.kind = WalkKind::Update;
     req.vpn = vpn;
@@ -740,11 +695,11 @@ Gpu::installMapping(Vpn vpn, Pfn pfn, bool writable)
                                   LatencyPhase::LocalWalk,
                                   _eq.now() - result.walkCycles));
         (void)result;
-        auto inflight = _installsInFlight.find(vpn);
-        if (inflight != _installsInFlight.end() &&
-            --inflight->second == 0)
-            _installsInFlight.erase(inflight);
-        if (epochOf(_invalEpochs, vpn) != epoch) {
+        VpnState &state = _vpns[vpn];
+        // An unplug since dispatch zeroed the count.
+        if (state.installsInFlight > 0)
+            --state.installsInFlight;
+        if (state.invalEpoch != epoch) {
             // Superseded while queued: the page moved on again. The
             // driver resolved the waiting accesses' fault BEFORE the
             // new invalidation, so they still retire with this
@@ -756,7 +711,8 @@ Gpu::installMapping(Vpn vpn, Pfn pfn, bool writable)
             _tlbs.shootdown(vpn);
             if (_oracle)
                 _oracle->onLocalDrop(_id, vpn);
-            deliverWithoutCaching(vpn, pfn, writable);
+            if (_mshr.contains(vpn))
+                releaseWaiters(vpn, pfn, writable, /*cache=*/false);
             return;
         }
         // A buffered invalidation that predates this mapping (same
@@ -894,12 +850,10 @@ Gpu::unplug()
 
     if (_irmb)
         _irmb->scrubAll();
-    _accessCounters.clear();
-    _migrationRequested.clear();
-    _writebackInFlight.clear();
-    _invalEpochs.clear();
-    _seenInvalRounds.clear();
-    _installsInFlight.clear();
+    // The access tally survives: the quiesce replay still counts the
+    // accesses made before the unplug.
+    for (auto &[vpn, state] : _vpns)
+        state = VpnState{.accessTally = state.accessTally};
 }
 
 void
@@ -929,10 +883,13 @@ Gpu::dumpDiagnostics(std::ostream &os) const
         os << "gpu " << _id << ": UNPLUGGED\n";
         return;
     }
+    std::size_t writebacks = 0;
+    for (const auto &[vpn, state] : _vpns)
+        writebacks += state.writebackInFlight;
     os << "gpu " << _id << ": " << _doneCus << "/" << _cus.size()
        << " CUs done, mshr " << _mshr.size() << ", backlog "
        << _missBacklog.size() << ", walk queue " << _gmmu.queueDepth()
-       << ", writebacks in flight " << _writebackInFlight.size();
+       << ", writebacks in flight " << writebacks;
     if (_irmb)
         os << ", irmb " << _irmb->pendingVpns() << " vpns";
     os << "\n";

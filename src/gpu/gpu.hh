@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/mshr.hh"
@@ -143,7 +142,6 @@ class Gpu : public GpuItf
 
     // --- GpuItf ---------------------------------------------------------
     GpuId id() const override { return _id; }
-    using GpuItf::receiveInvalidation;
     void receiveInvalidation(Vpn vpn, std::uint32_t round) override;
     void receiveNewMapping(Vpn vpn, Pfn pfn, bool writable) override;
     void applyInstantInvalidation(Vpn vpn) override;
@@ -164,14 +162,19 @@ class Gpu : public GpuItf
     Tick finishTick() const { return _finishTick; }
 
     /**
-     * Per-VPN access totals tallied locally during the run; the
-     * harness replays them into the driver (recordAccessBulk) at
-     * quiesce so the sharing-degree accounting never needs a
-     * cross-shard call on the access fast path.
+     * Visit each page's access total, tallied locally during the run,
+     * as @p fn(vpn, count). The harness replays them into the driver
+     * (recordAccessBulk) at quiesce so the sharing-degree accounting
+     * never needs a cross-shard call on the access fast path. The
+     * visiting order is unspecified; callers must not depend on it.
      */
-    const std::unordered_map<Vpn, std::uint64_t> &accessTally() const
+    template <typename Fn>
+    void
+    forEachAccessTally(Fn &&fn) const
     {
-        return _accessTally;
+        for (const auto &[vpn, state] : _vpns)
+            if (state.accessTally != 0)
+                fn(vpn, state.accessTally);
     }
 
     /**
@@ -214,11 +217,14 @@ class Gpu : public GpuItf
                              bool requireFresh);
 
     /**
-     * Retire the MSHR waiters with a translation that is already
-     * superseded: the accesses complete (their fault was resolved
-     * before the next invalidation) but nothing is cached.
+     * Retire every MSHR waiter for @p vpn with this translation; a
+     * write to a read-only one re-faults instead.
+     * @param cache fill the TLBs; false when the translation is
+     *        already superseded (the accesses still complete, since
+     *        their fault was resolved before the next invalidation,
+     *        but nothing is cached).
      */
-    void deliverWithoutCaching(Vpn vpn, Pfn pfn, bool writable);
+    void releaseWaiters(Vpn vpn, Pfn pfn, bool writable, bool cache);
     void dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
                     Cycles after, EventFn done);
     void markInvalApplied(Vpn vpn, std::uint32_t round);
@@ -258,29 +264,34 @@ class Gpu : public GpuItf
     /** Re-issue backlogged misses as MSHR entries free up. */
     void drainMissBacklog();
 
-    /** Last invalidation round seen per VPN, with its necessity
-     *  classification so duplicate deliveries can re-ack with the
-     *  original verdict. A duplicate may only re-ack once the first
-     *  delivery's invalidation has actually been applied (`applied`):
-     *  under walk-queue backpressure the invalidation walk can sit
-     *  queued for a long time, and re-acking earlier would complete
-     *  the round while the PTE is still live. */
-    struct SeenRound
+    /**
+     * Everything this GPU tracks about one page besides its PTE and
+     * TLB entries (DESIGN.md §3). An entry is created on the first
+     * access or protocol message for the page and never erased;
+     * unplug() resets every field except accessTally.
+     */
+    struct VpnState
     {
-        std::uint32_t round = 0;
-        bool wasValid = false;
-        bool applied = false;
+        std::uint64_t accessTally = 0;      ///< accesses (quiesce replay)
+        std::uint32_t accessCounter = 0;    ///< migration trigger count
+        std::uint32_t invalEpoch = 0;       ///< invalidations received
+        std::uint32_t installsInFlight = 0; ///< update walks not done
+        /** Last invalidation round delivered (0: none), its necessity
+         *  verdict, and whether it was applied. A duplicate re-acks
+         *  with the remembered verdict, and only once applied: under
+         *  walk-queue backpressure the invalidation walk can sit
+         *  queued for a long time, and re-acking earlier would
+         *  complete the round while the PTE is still live. */
+        std::uint32_t seenRound = 0;
+        bool seenWasValid = false;
+        bool seenApplied = false;
+        bool migrationRequested = false; ///< counter already fired
+        bool writebackInFlight = false;  ///< IRMB write-back walk queued
     };
 
     MshrFile<Vpn, Waiter> _mshr;
     std::deque<BackloggedMiss> _missBacklog;
-    std::unordered_map<Vpn, std::uint32_t> _accessCounters;
-    std::unordered_map<Vpn, std::uint64_t> _accessTally;
-    std::unordered_set<Vpn> _migrationRequested;
-    std::unordered_set<Vpn> _writebackInFlight;
-    std::unordered_map<Vpn, std::uint32_t> _invalEpochs;
-    std::unordered_map<Vpn, SeenRound> _seenInvalRounds;
-    std::unordered_map<Vpn, std::uint32_t> _installsInFlight;
+    std::unordered_map<Vpn, VpnState> _vpns;
 
     TranslationOracle *_oracle = nullptr;
     Tracer *_tracer = nullptr;

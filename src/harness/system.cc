@@ -456,8 +456,9 @@ MultiGpuSystem::finish(const std::string &app)
     if (_injector)
         _injector->foldStats();
     for (auto &gpu : _gpus)
-        for (const auto &[vpn, count] : gpu->accessTally())
+        gpu->forEachAccessTally([&](Vpn vpn, std::uint64_t count) {
             _driver.recordAccessBulk(gpu->id(), vpn, count);
+        });
 
     return collectResults(app);
 }

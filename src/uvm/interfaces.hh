@@ -42,14 +42,11 @@ class GpuItf
 
     /**
      * A PTE invalidation request arrived from the UVM driver.
-     * @param round the driver's invalidation round for this page, used
-     *        to recognize duplicate/retried deliveries. Round 0 means
-     *        "unconditional" (legacy callers and tests).
+     * @param round the driver's invalidation round for this page
+     *        (always >= 1), used to recognize duplicate/retried
+     *        deliveries.
      */
     virtual void receiveInvalidation(Vpn vpn, std::uint32_t round) = 0;
-
-    /** Convenience overload: unconditional invalidation (round 0). */
-    void receiveInvalidation(Vpn vpn) { receiveInvalidation(vpn, 0); }
 
     /** A new translation arrived (fault resolution or migration). */
     virtual void receiveNewMapping(Vpn vpn, Pfn pfn, bool writable) = 0;
@@ -86,8 +83,7 @@ class DriverItf
     /**
      * A GPU finished applying a PTE invalidation.
      * @param round echoes the round carried by the invalidation, so
-     *        the driver can discard stale and duplicate acks. Round 0
-     *        means "current round" (legacy callers and tests).
+     *        the driver can discard stale and duplicate acks.
      * @param wasValid whether the GPU logically held a servable
      *        mapping when the invalidation arrived — the driver's
      *        necessity accounting reads this instead of probing the
@@ -96,41 +92,21 @@ class DriverItf
     virtual void onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
                             bool wasValid) = 0;
 
-    /** Convenience overload: ack against the current round. */
-    void onInvalAck(GpuId from, Vpn vpn)
-    {
-        onInvalAck(from, vpn, 0, true);
-    }
-
-    /** Convenience overload: ack assumed necessary (legacy tests). */
-    void onInvalAck(GpuId from, Vpn vpn, std::uint32_t round)
-    {
-        onInvalAck(from, vpn, round, true);
-    }
-
     /**
      * Trans-FW installed a forwarded mapping on @p gpu; the driver
      * records residency so future migrations invalidate it.
      */
     virtual void onMappingRegistered(GpuId gpu, Vpn vpn) = 0;
 
-    /** Bookkeeping hook: a data access to @p vpn by @p gpu (untimed). */
-    virtual void recordAccess(GpuId gpu, Vpn vpn) = 0;
-
     /**
-     * Bulk form of recordAccess: @p count accesses to @p vpn by
-     * @p gpu. GPUs tally accesses locally during the run (the per-
-     * access hook would be a cross-shard call on every access) and
-     * the harness replays the totals through this at quiesce; the
-     * aggregate is order-independent, so results match the per-access
-     * form exactly.
+     * Bookkeeping (untimed): @p count data accesses to @p vpn by
+     * @p gpu. GPUs tally accesses locally during the run (a per-access
+     * hook would be a cross-shard call on every access) and the
+     * harness replays the totals through this at quiesce; the
+     * aggregate is order-independent.
      */
     virtual void recordAccessBulk(GpuId gpu, Vpn vpn,
-                                  std::uint64_t count)
-    {
-        for (std::uint64_t i = 0; i < count; ++i)
-            recordAccess(gpu, vpn);
-    }
+                                  std::uint64_t count) = 0;
 };
 
 } // namespace idyll

@@ -74,12 +74,6 @@ UvmDriver::meta(Vpn vpn)
 }
 
 void
-UvmDriver::recordAccess(GpuId gpu, Vpn vpn)
-{
-    recordAccessBulk(gpu, vpn, 1);
-}
-
-void
 UvmDriver::recordAccessBulk(GpuId gpu, Vpn vpn, std::uint64_t count)
 {
     auto &counts = _accessCounts[vpn];
@@ -584,9 +578,7 @@ UvmDriver::onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
     if (it == _migrations.end())
         return; // ack for an already-finished (or refused) migration
     Migration &op = it->second;
-    // Round 0 means "current round" (legacy callers and tests).
-    const std::uint32_t r = (round == 0) ? op.round : round;
-    if (r != op.round) {
+    if (round != op.round) {
         _stats.staleAcks.inc();
         return;
     }
@@ -606,9 +598,9 @@ UvmDriver::onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
         _stats.invalNecessary.inc();
     else
         _stats.invalUnnecessary.inc();
-    IDYLL_TRACE(_tracer, InvalAck, from, vpn, r);
+    IDYLL_TRACE(_tracer, InvalAck, from, vpn, round);
     IDYLL_LAT(_latency, finish(kHostId, RequestKind::Invalidation, from,
-                               vpn, _eq.now(), r));
+                               vpn, _eq.now(), round));
     if (op.ackMask == op.expectedAckMask) {
         if (_oracle)
             _oracle->onInvalRoundComplete(vpn, op.round);

@@ -183,11 +183,9 @@ class UvmDriver : public DriverItf
     // --- DriverItf ----------------------------------------------------
     void onFarFault(FaultRecord fault) override;
     void onMigrationRequest(GpuId requester, Vpn vpn) override;
-    using DriverItf::onInvalAck;
     void onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
                     bool wasValid) override;
     void onMappingRegistered(GpuId gpu, Vpn vpn) override;
-    void recordAccess(GpuId gpu, Vpn vpn) override;
     void recordAccessBulk(GpuId gpu, Vpn vpn,
                           std::uint64_t count) override;
 

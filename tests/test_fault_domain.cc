@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -184,7 +185,12 @@ TEST(FaultDomainE2E, UnplugRecoversCleanAndDeterministic)
         MultiGpuSystem system(cfg);
         const SimResults r =
             system.run(Workload::byName("KM", kSmokeScale));
-        (void)r;
+        // The victim's pre-unplug accesses still reach the driver's
+        // sharing-degree accounting.
+        EXPECT_EQ(std::accumulate(r.sharingBuckets.begin(),
+                                  r.sharingBuckets.end(),
+                                  std::uint64_t{0}),
+                  r.accesses);
 
         const DriverStats &ds = system.driver().stats();
         EXPECT_EQ(ds.gpusUnplugged.value(), 1u);

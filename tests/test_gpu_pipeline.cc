@@ -100,7 +100,7 @@ TEST(GpuPipeline, InvalidationShootsDownTlbAndPte)
     sys.eventQueue().run();
     ASSERT_TRUE(gpu.hasValidMapping(33));
 
-    gpu.receiveInvalidation(33);
+    gpu.receiveInvalidation(33, 1);
     sys.eventQueue().run();
     EXPECT_FALSE(gpu.hasValidMapping(33));
     EXPECT_EQ(gpu.localPageTable().findValid(33), nullptr);
@@ -119,7 +119,7 @@ TEST(GpuPipeline, LazyInvalidationBuffersInIrmb)
     gpu.access(0, vaOf(44), false, [] {});
     sys.eventQueue().run();
 
-    gpu.receiveInvalidation(44);
+    gpu.receiveInvalidation(44, 1);
     // Buffered: logically invalid immediately, even though the PTE is
     // written back lazily.
     EXPECT_FALSE(gpu.hasValidMapping(44));
@@ -142,7 +142,7 @@ TEST(GpuPipeline, IrmbHitBypassesTheLocalWalk)
     sys.eventQueue().run();
     const auto walks_before = gpu.gmmu().stats().demandWalks.value();
 
-    gpu.receiveInvalidation(21);
+    gpu.receiveInvalidation(21, 1);
     // Immediately re-access: the IRMB still holds the invalidation
     // (no idle time elapsed yet), so the walk must be bypassed.
     int done = 0;
@@ -167,7 +167,7 @@ TEST(GpuPipeline, ZeroLatencyInvalidationIsInstant)
     sys.eventQueue().run();
 
     const auto inval_walks = gpu.gmmu().stats().invalWalks.value();
-    gpu.receiveInvalidation(70);
+    gpu.receiveInvalidation(70, 1);
     // Applied synchronously, with no walker involvement.
     EXPECT_EQ(gpu.localPageTable().findValid(70), nullptr);
     EXPECT_EQ(gpu.gmmu().stats().invalWalks.value(), inval_walks);
@@ -200,6 +200,106 @@ TEST(GpuPipeline, AccessCounterTriggersMigration)
     sys.eventQueue().run();
     EXPECT_EQ(sys.gpu(1).stats().remoteAccesses.value(), remote_before);
     EXPECT_GT(sys.gpu(1).stats().localAccesses.value(), 0u);
+}
+
+TEST(GpuPipeline, DuplicateRoundIsIgnoredAndReackedOnceApplied)
+{
+    MultiGpuSystem sys(tinyConfig());
+    Gpu &gpu = sys.gpu(0);
+    gpu.access(0, vaOf(33), false, [] {});
+    sys.eventQueue().run();
+    const Pte *pte = gpu.localPageTable().findValid(33);
+    ASSERT_NE(pte, nullptr);
+    const Pfn pfn = pte->pfn();
+    const Counter &acks = sys.driver().stats().invalAcks;
+    const auto acks_before = acks.value();
+
+    // Re-delivered while the first delivery's walk is still queued:
+    // ignored, and not re-acked, because the PTE is still live.
+    gpu.receiveInvalidation(33, 1);
+    gpu.receiveInvalidation(33, 1);
+    EXPECT_EQ(gpu.stats().invalsReceived.value(), 1u);
+    EXPECT_EQ(gpu.stats().dupInvalsIgnored.value(), 1u);
+    sys.eventQueue().run();
+    EXPECT_EQ(acks.value(), acks_before + 1);
+
+    // Once the invalidation is applied, a re-delivery re-acks.
+    gpu.receiveInvalidation(33, 1);
+    sys.eventQueue().run();
+    EXPECT_EQ(gpu.stats().dupInvalsIgnored.value(), 2u);
+    EXPECT_EQ(acks.value(), acks_before + 2);
+
+    // A duplicate leaves the epoch alone: an install dispatched before
+    // it is not superseded, so the mapping stays in the page table.
+    gpu.receiveNewMapping(33, pfn, true);
+    gpu.receiveInvalidation(33, 1);
+    sys.eventQueue().run();
+    EXPECT_NE(gpu.localPageTable().findValid(33), nullptr);
+    EXPECT_EQ(gpu.stats().invalsReceived.value(), 1u);
+    EXPECT_EQ(gpu.stats().dupInvalsIgnored.value(), 3u);
+}
+
+TEST(GpuPipeline, AccessCounterRestartsOnRemapAndReArms)
+{
+    SystemConfig cfg = tinyConfig();
+    cfg.accessCounterThreshold = 4;
+    MultiGpuSystem sys(cfg);
+    auto reads = [&](GpuId g, int n) {
+        for (int i = 0; i < n; ++i) {
+            sys.gpu(g).access(0, vaOf(5), false, [] {});
+            sys.eventQueue().run();
+        }
+    };
+    reads(0, 1); // the page homes on GPU 0
+    Gpu &gpu = sys.gpu(1);
+
+    // Three remote reads, a new mapping, three more: the count
+    // restarted, so the threshold of four is never reached.
+    reads(1, 3);
+    const Pte *pte = gpu.localPageTable().findValid(5);
+    ASSERT_NE(pte, nullptr);
+    gpu.receiveNewMapping(5, pte->pfn(), pte->writable());
+    sys.eventQueue().run();
+    reads(1, 3);
+    EXPECT_EQ(gpu.stats().migRequestsSent.value(), 0u);
+
+    // The fourth read fires the request and the page moves to GPU 1.
+    reads(1, 1);
+    EXPECT_EQ(gpu.stats().migRequestsSent.value(), 1u);
+    EXPECT_EQ(sys.driver().stats().migrations.value(), 1u);
+
+    // GPU 0 pulls it back, which invalidates GPU 1's mapping. That
+    // re-arms GPU 1's trigger: it may request the page again.
+    reads(0, 4);
+    EXPECT_EQ(sys.driver().stats().migrations.value(), 2u);
+    reads(1, 4);
+    EXPECT_EQ(gpu.stats().migRequestsSent.value(), 2u);
+    EXPECT_EQ(sys.driver().stats().migrations.value(), 3u);
+}
+
+TEST(GpuPipeline, InvalidationRestartsTheAccessCounter)
+{
+    // A Trans-FW forwarded mapping is installed without going through
+    // receiveNewMapping, so here only the invalidation can restart
+    // the count.
+    SystemConfig cfg = tinyConfig();
+    cfg.accessCounterThreshold = 4;
+    cfg.transFw.enabled = true;
+    MultiGpuSystem sys(cfg);
+    auto reads = [&](GpuId g, int n) {
+        for (int i = 0; i < n; ++i) {
+            sys.gpu(g).access(0, vaOf(5), false, [] {});
+            sys.eventQueue().run();
+        }
+    };
+    reads(0, 1); // the page homes on GPU 0
+    Gpu &gpu = sys.gpu(1);
+    reads(1, 3);
+    gpu.receiveInvalidation(5, 1);
+    sys.eventQueue().run();
+    reads(1, 3);
+    EXPECT_EQ(gpu.stats().transFwForwarded.value(), 2u);
+    EXPECT_EQ(gpu.stats().migRequestsSent.value(), 0u);
 }
 
 TEST(GpuPipeline, TransFwForwardsFromPeer)

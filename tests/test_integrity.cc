@@ -316,6 +316,21 @@ TEST(IntegrityE2E, OracleCleanAcrossSchemes)
     }
 }
 
+TEST(IntegrityE2E, OracleCleanOnTlbHitDuringInstallWalk)
+{
+    // An update walk writes the PTE when it is dispatched, but the
+    // oracle learns of the install only in the walk's done-callback.
+    // A TLB hit in that window must not be checked against the
+    // lagging shadow state. This run (8 GPUs, seed 2) hits the window.
+    SystemConfig cfg = smallConfig("idyll");
+    cfg.numGpus = 8;
+    cfg.seed = 2;
+    cfg.integrity.oracle = true;
+    MultiGpuSystem system(cfg);
+    system.run(Workload::byName("KM", 0.25));
+    EXPECT_GT(system.oracle()->checks(), 0u);
+}
+
 TEST(IntegrityE2EDeath, SuppressedInvalidationCaughtByOracle)
 {
     EXPECT_DEATH(

@@ -31,7 +31,6 @@ class MockGpu : public GpuItf
 
     GpuId id() const override { return _id; }
 
-    using GpuItf::receiveInvalidation;
     void
     receiveInvalidation(Vpn vpn, std::uint32_t round) override
     {
@@ -311,10 +310,10 @@ TEST_F(DriverFixture, DroppedAckRecoveredByRetry)
 
 TEST_F(DriverFixture, SharingDegreeTracksAccesses)
 {
-    driver->recordAccess(0, 42);
-    driver->recordAccess(0, 42);
-    driver->recordAccess(1, 42);
-    driver->recordAccess(2, 99);
+    driver->recordAccessBulk(0, 42, 1);
+    driver->recordAccessBulk(0, 42, 1);
+    driver->recordAccessBulk(1, 42, 1);
+    driver->recordAccessBulk(2, 99, 1);
     auto buckets = driver->accessesBySharingDegree();
     ASSERT_EQ(buckets.size(), 4u);
     EXPECT_EQ(buckets[0], 1u); // one access to the 1-GPU page (99)
