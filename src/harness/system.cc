@@ -187,11 +187,10 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig cfg)
     }
 
     if (_cfg.latency.enabled) {
-        _latency = std::make_unique<LatencyScoreboard>(_cfg.numGpus);
-        // Route mutations through the per-node op log (latency.hh):
-        // the same deterministic merge runs serial and sharded, so the
+        // Mutations go through the per-node op log (latency.hh): the
+        // same deterministic merge runs serial and sharded, so the
         // scoreboard output is bit-identical for any --shards value.
-        _latency->bindClock(&_eq);
+        _latency = std::make_unique<LatencyScoreboard>(_eq, _cfg.numGpus);
         // A broken sum invariant means some phase transition lost or
         // double-counted cycles: dump the protocol state before dying.
         _latency->setViolationHandler([this](const std::string &msg) {

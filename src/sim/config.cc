@@ -42,10 +42,9 @@ SystemConfig::check() const
     };
 
     require(numGpus >= 1, "numGpus must be >= 1");
-    // GPU holder sets are tracked as 64-bit masks (ack masks, oracle
-    // shadow state), so the simulator tops out at 64 GPUs.
-    require(numGpus <= 64, "numGpus must be <= 64, got " +
-                               std::to_string(numGpus));
+    require(numGpus <= kMaxGpus,
+            "numGpus must be <= " + std::to_string(kMaxGpus) +
+                ", got " + std::to_string(numGpus));
     require(shards >= 1, "shards must be >= 1");
     require(cusPerGpu >= 1, "cusPerGpu must be >= 1");
     require(warpsPerCu >= 1, "warpsPerCu must be >= 1");

@@ -89,7 +89,7 @@ TranslationOracle::TranslationOracle(const EventQueue &eq,
                                      std::uint32_t traceDepth)
     : _eq(eq), _numGpus(numGpus), _trace(traceDepth)
 {
-    IDYLL_ASSERT(numGpus >= 1 && numGpus <= 64,
+    IDYLL_ASSERT(numGpus >= 1 && numGpus <= kMaxGpus,
                  "oracle tracks holder sets as 64-bit masks");
 }
 
@@ -575,8 +575,8 @@ parseFaultPlan(const std::string &text, std::string *error)
 FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
     : _plan(std::move(plan)), _seed(mix64(seed ^ 0xFAD7ull))
 {
-    // One stat slice per possible shard: host shard + up to 64 GPUs.
-    _stats.resize(65);
+    // One stat slice per possible shard: the host's + kMaxGpus.
+    _stats.resize(kMaxGpus + 1);
 }
 
 FaultStats &

@@ -125,15 +125,18 @@ LogHistogram::toJson() const
 
 // --- LatencyScoreboard -----------------------------------------------
 
-LatencyScoreboard::LatencyScoreboard(std::uint32_t numGpus)
-    : _numGpus(numGpus),
-      _lanes(static_cast<std::size_t>(numGpus) + 1),
-      _laneCursor(static_cast<std::size_t>(numGpus) + 1, 0),
-      _agg(numGpus)
+LatencyScoreboard::LatencyScoreboard(EventQueue &clock,
+                                     std::uint32_t numGpus)
+    : _numGpus(numGpus), _clock(clock),
+      _log(static_cast<std::size_t>(numGpus) + 1), _agg(numGpus)
 {
     _onViolation = [](const std::string &msg) {
         panic("latency scoreboard: ", msg);
     };
+    _log.setViolationHandler([this](const std::string &msg) {
+        ++_violations;
+        _onViolation("op-log " + msg);
+    });
 }
 
 // --- op log ----------------------------------------------------------
@@ -150,28 +153,21 @@ LatencyScoreboard::laneRank(GpuId exec) const
 void
 LatencyScoreboard::logOp(GpuId exec, LatOp op)
 {
-    op.execTick = _clock->now(); // routes to the executing shard
-    _lanes[laneRank(exec)].push_back(op);
+    op.execTick = _clock.now(); // routes to the executing shard
+    _log.push(laneRank(exec), op);
     // Sharded runs flush at every rendezvous (single-writer lanes must
     // not be compacted from a worker thread); serial runs bound the
-    // backlog here instead.
-    if (!_clock->router() && ++_pendingOps >= kFlushThreshold)
-        drainLogBelow(op.execTick);
+    // backlog here instead. Ops AT the current tick may still gain
+    // same-tick peers in other lanes, so they stay queued.
+    if (!_clock.router() && ++_pendingOps >= kFlushThreshold) {
+        _pendingOps = _log.drainBelow(
+            op.execTick, [this](const LatOp &o) { applyOp(o); });
+    }
 }
 
 void
 LatencyScoreboard::applyOp(const LatOp &op)
 {
-    if (op.execTick < _lastAppliedTick) {
-        ++_violations;
-        std::ostringstream msg;
-        msg << "op-log merge order violated: op at tick "
-            << op.execTick << " applied after tick "
-            << _lastAppliedTick
-            << " (a shard's lane was not flushed at the rendezvous)";
-        _onViolation(msg.str());
-    }
-    _lastAppliedTick = op.execTick;
     switch (op.code) {
       case LatOp::Code::Begin:
         applyBegin(op.kind, op.gpu, op.vpn, op.tick,
@@ -189,68 +185,29 @@ LatencyScoreboard::applyOp(const LatOp &op)
                     static_cast<std::uint32_t>(op.a));
         break;
       case LatOp::Code::Drop:
-        applyDrop(op.kind, op.gpu, op.vpn);
+        _tokens.erase(key(op.kind, op.gpu, op.vpn));
         break;
       case LatOp::Code::Abort:
-        applyAbort(op.kind, op.gpu, op.vpn);
-        break;
-      case LatOp::Code::NoteWalk:
-        applyNoteWalk(static_cast<std::uint32_t>(op.a),
-                      static_cast<Cycles>(op.b));
-        break;
-      case LatOp::Code::Raw:
-        break; // ordering check only
-    }
-}
-
-void
-LatencyScoreboard::drainLogBelow(Tick limit)
-{
-    for (;;) {
-        std::size_t best = _lanes.size();
-        Tick bestTick = 0;
-        for (std::size_t r = 0; r < _lanes.size(); ++r) {
-            const std::size_t cur = _laneCursor[r];
-            if (cur >= _lanes[r].size())
-                continue;
-            const Tick t = _lanes[r][cur].execTick;
-            if (t >= limit)
-                continue;
-            if (best == _lanes.size() || t < bestTick) {
-                best = r;
-                bestTick = t;
-            }
+        if (_tokens.erase(key(op.kind, op.gpu, op.vpn))) {
+            ++_abortedTotal[static_cast<std::size_t>(op.kind)];
+            ++_windowAborted[static_cast<std::size_t>(op.kind)];
         }
-        if (best == _lanes.size())
-            break;
-        applyOp(_lanes[best][_laneCursor[best]++]);
+        break;
+      case LatOp::Code::NoteWalk: {
+        const std::uint32_t depth = std::min(
+            static_cast<std::uint32_t>(op.a), kMaxWalkDepth);
+        ++_walkDepthCount[depth];
+        _walkDepthCycles[depth] += op.b;
+        break;
+      }
     }
-    std::size_t remaining = 0;
-    for (std::size_t r = 0; r < _lanes.size(); ++r) {
-        auto &lane = _lanes[r];
-        lane.erase(lane.begin(),
-                   lane.begin() +
-                       static_cast<std::ptrdiff_t>(_laneCursor[r]));
-        _laneCursor[r] = 0;
-        remaining += lane.size();
-    }
-    _pendingOps = remaining;
 }
 
 void
 LatencyScoreboard::flushOps()
 {
-    drainLogBelow(kMaxTick);
-}
-
-void
-LatencyScoreboard::logRawForTest(GpuId exec, Tick execTick)
-{
-    LatOp op{};
-    op.code = LatOp::Code::Raw;
-    op.execTick = execTick;
-    _lanes[laneRank(exec)].push_back(op);
-    ++_pendingOps;
+    _pendingOps = _log.drainBelow(
+        kMaxTick, [this](const LatOp &o) { applyOp(o); });
 }
 
 void
@@ -288,10 +245,6 @@ void
 LatencyScoreboard::begin(GpuId exec, RequestKind kind, GpuId gpu,
                          Vpn vpn, Tick now, std::uint32_t tag)
 {
-    if (!_clock) {
-        applyBegin(kind, gpu, vpn, now, tag);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::Begin;
     op.kind = kind;
@@ -335,10 +288,6 @@ void
 LatencyScoreboard::enter(GpuId exec, RequestKind kind, GpuId gpu,
                          Vpn vpn, LatencyPhase phase, Tick tick)
 {
-    if (!_clock) {
-        applyEnter(kind, gpu, vpn, phase, tick);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::Enter;
     op.kind = kind;
@@ -366,10 +315,6 @@ void
 LatencyScoreboard::demandMissProbed(GpuId exec, GpuId gpu, Vpn vpn,
                                     Cycles l1Latency, Tick now)
 {
-    if (!_clock) {
-        applyDemandMissProbed(gpu, vpn, l1Latency, now);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::DemandMissProbed;
     op.kind = RequestKind::Demand;
@@ -399,10 +344,6 @@ void
 LatencyScoreboard::finish(GpuId exec, RequestKind kind, GpuId gpu,
                           Vpn vpn, Tick now, std::uint32_t tag)
 {
-    if (!_clock) {
-        applyFinish(kind, gpu, vpn, now, tag);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::Finish;
     op.kind = kind;
@@ -456,10 +397,6 @@ void
 LatencyScoreboard::drop(GpuId exec, RequestKind kind, GpuId gpu,
                         Vpn vpn)
 {
-    if (!_clock) {
-        applyDrop(kind, gpu, vpn);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::Drop;
     op.kind = kind;
@@ -469,34 +406,15 @@ LatencyScoreboard::drop(GpuId exec, RequestKind kind, GpuId gpu,
 }
 
 void
-LatencyScoreboard::applyDrop(RequestKind kind, GpuId gpu, Vpn vpn)
-{
-    _tokens.erase(key(kind, gpu, vpn));
-}
-
-void
 LatencyScoreboard::abort(GpuId exec, RequestKind kind, GpuId gpu,
                          Vpn vpn)
 {
-    if (!_clock) {
-        applyAbort(kind, gpu, vpn);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::Abort;
     op.kind = kind;
     op.gpu = gpu;
     op.vpn = vpn;
     logOp(exec, op);
-}
-
-void
-LatencyScoreboard::applyAbort(RequestKind kind, GpuId gpu, Vpn vpn)
-{
-    if (_tokens.erase(key(kind, gpu, vpn))) {
-        ++_abortedTotal[static_cast<std::size_t>(kind)];
-        ++_windowAborted[static_cast<std::size_t>(kind)];
-    }
 }
 
 std::size_t
@@ -529,23 +447,11 @@ void
 LatencyScoreboard::noteWalk(GpuId gpu, std::uint32_t levels,
                             Cycles cycles)
 {
-    if (!_clock) {
-        applyNoteWalk(levels, cycles);
-        return;
-    }
     LatOp op{};
     op.code = LatOp::Code::NoteWalk;
     op.a = levels;
     op.b = cycles;
     logOp(gpu, op); // walks execute on the owning GMMU's node
-}
-
-void
-LatencyScoreboard::applyNoteWalk(std::uint32_t levels, Cycles cycles)
-{
-    const std::uint32_t depth = std::min(levels, kMaxWalkDepth);
-    ++_walkDepthCount[depth];
-    _walkDepthCycles[depth] += cycles;
 }
 
 void

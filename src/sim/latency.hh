@@ -26,22 +26,18 @@
  * trace digests. Call sites compile out entirely when the build sets
  * IDYLL_LATENCY_ENABLED=0 (mirroring IDYLL_TRACE).
  *
- * Sharded execution (DESIGN.md section 11): once bindClock() attaches
- * the scoreboard to an event queue, mutators stop touching the token
+ * Logging (DESIGN.md section 11): mutators never touch the token
  * table directly. Each call is recorded as a LatOp in a per-NODE lane
  * (lane 0 = host, lane 1+g = GPU g) stamped with the executing
  * queue's clock. Lanes are single-writer under sharding — every
  * mutation of node n's state runs on n's shard — so the hot path is
- * lock-free. At every rendezvous (and before any query) the lanes are
- * drained through a k-way merge ordered by (execTick, lane rank,
- * lane FIFO), and ops are applied to the token table in that order.
- * Serial runs bound to a clock log and merge through the *same* path,
- * so sharded attribution is bit-identical to serial by construction.
- * A lane whose ops would apply out of order (execTick moving
- * backwards within the merged stream) trips the violation handler:
- * that is the observable symptom of a broken rendezvous flush.
- * Unit tests that construct a bare scoreboard never bind a clock and
- * get the original apply-immediately semantics.
+ * lock-free. At every rendezvous (and before any query) an
+ * OrderedLanes merge (sim/ordered_lanes.hh) applies the ops in
+ * (execTick, lane rank, lane FIFO) order. Serial runs log and merge
+ * through the *same* path, so sharded attribution is bit-identical
+ * to serial by construction. A merge whose execTick moves backwards
+ * trips the violation handler: that is the observable symptom of a
+ * broken rendezvous flush.
  */
 
 #ifndef IDYLL_SIM_LATENCY_HH
@@ -55,6 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/ordered_lanes.hh"
 #include "sim/types.hh"
 
 namespace idyll
@@ -186,7 +183,10 @@ struct LatencyWindow
 class LatencyScoreboard
 {
   public:
-    explicit LatencyScoreboard(std::uint32_t numGpus);
+    /** Mutations log against @p clock, the system's event queue. */
+    LatencyScoreboard(EventQueue &clock, std::uint32_t numGpus);
+    LatencyScoreboard(const LatencyScoreboard &) = delete;
+    LatencyScoreboard &operator=(const LatencyScoreboard &) = delete;
 
     /**
      * Install the handler invoked when a finished token's phase spans
@@ -196,16 +196,6 @@ class LatencyScoreboard
      */
     void setViolationHandler(
         std::function<void(const std::string &)> handler);
-
-    /**
-     * Attach the scoreboard to the simulation clock. Mutators then
-     * log ops into per-node lanes (see the file comment) instead of
-     * applying immediately; lanes are drained by flushOps() — wired
-     * to the rendezvous hook under sharding, threshold-triggered in
-     * serial full-system runs, and always before queries. Pass
-     * nullptr to detach (apply-immediately semantics return).
-     */
-    void bindClock(EventQueue *eq) { _clock = eq; }
 
     /**
      * Open a token for (kind, gpu, vpn) at @p now. No-op if a token
@@ -298,17 +288,9 @@ class LatencyScoreboard
      * Drain every op lane through the deterministic (execTick, lane
      * rank, lane FIFO) merge and apply the ops. Call only while the
      * simulation is quiescent: the rendezvous hook under sharding,
-     * or any query/snapshot boundary. No-op when unbound or empty.
+     * or any query/snapshot boundary. No-op when empty.
      */
     void flushOps();
-
-    /**
-     * Test hook: append a no-op LatOp to @p exec's lane stamped with
-     * an arbitrary @p execTick, bypassing the bound clock. Two calls
-     * on the same lane with decreasing ticks forge exactly the
-     * lane-FIFO corruption the merge's order check must catch.
-     */
-    void logRawForTest(GpuId exec, Tick execTick);
 
     /**
      * Epoch boundary for long serve runs: return everything finished
@@ -377,7 +359,6 @@ class LatencyScoreboard
             Drop,
             Abort,
             NoteWalk,
-            Raw, ///< logRawForTest: ordering-check only, no effect
         };
 
         Code code;
@@ -398,21 +379,13 @@ class LatencyScoreboard
     std::size_t laneRank(GpuId exec) const;
     void logOp(GpuId exec, LatOp op);
     void applyOp(const LatOp &op);
-    /**
-     * k-way merge: apply every logged op with execTick < @p limit in
-     * (execTick, lane rank, lane FIFO) order. The serial threshold
-     * flush passes the current clock — ops AT the current tick may
-     * still gain same-tick peers in other lanes, so they stay queued;
-     * flushOps() passes kMaxTick (quiescent, everything is final).
-     */
-    void drainLogBelow(Tick limit);
     /** const-query shim: flush is logically non-mutating. */
     void syncLog() const
     {
         const_cast<LatencyScoreboard *>(this)->flushOps();
     }
 
-    // The pre-log mutator bodies, applied in merge order.
+    // The mutator bodies, applied in merge order.
     void applyBegin(RequestKind kind, GpuId gpu, Vpn vpn, Tick now,
                     std::uint32_t tag);
     void applyEnter(RequestKind kind, GpuId gpu, Vpn vpn,
@@ -421,20 +394,15 @@ class LatencyScoreboard
                                Tick now);
     void applyFinish(RequestKind kind, GpuId gpu, Vpn vpn, Tick now,
                      std::uint32_t tag);
-    void applyDrop(RequestKind kind, GpuId gpu, Vpn vpn);
-    void applyAbort(RequestKind kind, GpuId gpu, Vpn vpn);
-    void applyNoteWalk(std::uint32_t levels, Cycles cycles);
 
     std::uint32_t _numGpus;
     std::unordered_map<std::uint64_t, Token> _tokens;
 
-    EventQueue *_clock = nullptr;
+    EventQueue &_clock;
     /** Single-writer op lanes: [0] host, [1 + g] GPU g. */
-    std::vector<std::vector<LatOp>> _lanes;
-    std::vector<std::size_t> _laneCursor;
+    OrderedLanes<LatOp, &LatOp::execTick> _log;
     /** Ops logged and not yet applied (maintained in serial only). */
     std::size_t _pendingOps = 0;
-    Tick _lastAppliedTick = 0;
     /** Serial flush cadence (sharded runs flush at each rendezvous). */
     static constexpr std::size_t kFlushThreshold = 4096;
     // [kind][gpu]

@@ -179,49 +179,27 @@ void
 JsonlTraceSink::enableSharding(std::uint32_t shards)
 {
     if (shards >= 2)
-        _lanes.resize(shards);
+        _lanes = OrderedLanes<Line, &Line::tick>(shards);
 }
 
 void
 JsonlTraceSink::record(const TraceEvent &event)
 {
-    if (_lanes.empty()) {
+    if (_lanes.laneCount() == 0) {
         formatTraceLine(*_os, event);
         return;
     }
     std::ostringstream line;
     formatTraceLine(line, event);
     const std::uint32_t s = EventQueue::currentShard();
-    _lanes[s < _lanes.size() ? s : 0].push_back(
-        {event.tick, line.str()});
+    _lanes.push(s < _lanes.laneCount() ? s : 0, {event.tick, line.str()});
 }
 
 void
 JsonlTraceSink::mergeWindow()
 {
-    if (_lanes.empty())
-        return;
-    // Every lane is tick-sorted already (each shard dispatches in
-    // tick order), so a cursor-based k-way merge suffices. Ties pick
-    // the lowest lane, making the merged stream deterministic for a
-    // given shard count.
-    std::vector<std::size_t> cur(_lanes.size(), 0);
-    for (;;) {
-        std::size_t best = _lanes.size();
-        for (std::size_t s = 0; s < _lanes.size(); ++s) {
-            if (cur[s] >= _lanes[s].size())
-                continue;
-            if (best == _lanes.size() ||
-                _lanes[s][cur[s]].tick < _lanes[best][cur[best]].tick)
-                best = s;
-        }
-        if (best == _lanes.size())
-            break;
-        *_os << _lanes[best][cur[best]].text;
-        ++cur[best];
-    }
-    for (auto &lane : _lanes)
-        lane.clear();
+    _lanes.drainBelow(kMaxTick,
+                      [this](const Line &line) { *_os << line.text; });
 }
 
 void
@@ -237,8 +215,8 @@ JsonlTraceSink::flush()
 
 TraceDigestSink::TraceDigestSink()
 {
-    // One lane per possible shard: host shard + up to 64 GPUs.
-    _lanes.resize(65);
+    // One lane per possible shard: the host's + kMaxGpus.
+    _lanes.resize(kMaxGpus + 1);
 }
 
 TraceDigestSink::Lane &

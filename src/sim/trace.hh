@@ -35,10 +35,11 @@
  *  - JsonlTraceSink (once enableSharding() is called) formats each
  *    event into its shard's line lane — single-writer, lock-free —
  *    and mergeWindow(), run on the main thread at every rendezvous,
- *    drains the lanes to the stream in (tick, lane, FIFO) order. The
- *    merged file is deterministic for a given shard count, and its
- *    digest matches a serial run's. Without enableSharding() the sink
- *    streams directly and is only safe serial.
+ *    drains the lanes to the stream through an OrderedLanes merge in
+ *    (tick, lane, FIFO) order; a tick that moves backwards panics.
+ *    The merged file is deterministic for a given shard count, and
+ *    its digest matches a serial run's. Without enableSharding() the
+ *    sink streams directly and is only safe serial.
  */
 
 #ifndef IDYLL_SIM_TRACE_HH
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/ordered_lanes.hh"
 #include "sim/types.hh"
 
 #ifndef IDYLL_TRACE_ENABLED
@@ -263,8 +265,9 @@ class JsonlTraceSink : public TraceSink
 
     /**
      * Drain every buffered line to the stream, merged by (tick, lane,
-     * FIFO). Main-thread only, while the shards are quiescent (at a
-     * rendezvous or after run()). No-op when not sharded.
+     * FIFO); panics if the merged tick moves backwards (a lane missed
+     * a rendezvous). Main-thread only, while the shards are quiescent
+     * (at a rendezvous or after run()). No-op when not sharded.
      */
     void mergeWindow();
 
@@ -281,8 +284,8 @@ class JsonlTraceSink : public TraceSink
 
     std::unique_ptr<std::ofstream> _file;
     std::ostream *_os = nullptr;
-    /** Per-shard line lanes; empty until enableSharding(>= 2). */
-    std::vector<std::vector<Line>> _lanes;
+    /** Per-shard line lanes; none until enableSharding(>= 2). */
+    OrderedLanes<Line, &Line::tick> _lanes;
 };
 
 /**

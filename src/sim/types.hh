@@ -42,6 +42,13 @@ constexpr GpuId kHostId = 0xFFFFFFFFu;
 /** Sentinel for "no GPU / not resident on any GPU". */
 constexpr GpuId kInvalidGpu = 0xFFFFFFFEu;
 
+/**
+ * Most GPUs one system models: GPU holder sets are 64-bit masks (ack
+ * masks, oracle shadow state). Per-shard slices size themselves for
+ * the host shard plus this many GPUs.
+ */
+constexpr std::uint32_t kMaxGpus = 64;
+
 } // namespace idyll
 
 #endif // IDYLL_SIM_TYPES_HH

@@ -21,6 +21,7 @@
 #include "harness/runner.hh"
 #include "harness/serve.hh"
 #include "harness/system.hh"
+#include "sim/event_queue.hh"
 #include "sim/fault_domain.hh"
 #include "sim/integrity.hh"
 #include "sim/latency.hh"
@@ -152,7 +153,8 @@ TEST(NetworkFaultDomain, UnreachablePeerFailsFastAndRecovers)
 
 TEST(LatencyFaultDomain, AbortedTokensAreCountedNotTimed)
 {
-    LatencyScoreboard sb(4);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 4);
     sb.begin(1, RequestKind::Demand, 1, 42, 100);
     sb.begin(1, RequestKind::Demand, 1, 43, 100);
     sb.begin(2, RequestKind::Demand, 2, 44, 100);

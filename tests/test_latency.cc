@@ -128,7 +128,8 @@ TEST(LogHistogram, MergeMatchesCombinedRecording)
 
 TEST(LatencyScoreboard, SpansSumToEndToEndLatency)
 {
-    LatencyScoreboard sb(2);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 2);
     sb.begin(0, RequestKind::Demand, 0, 42, 100);
     EXPECT_TRUE(sb.active(RequestKind::Demand, 0, 42));
     sb.enter(0, RequestKind::Demand, 0, 42, LatencyPhase::L2Probe, 110);
@@ -156,7 +157,8 @@ TEST(LatencyScoreboard, SpansSumToEndToEndLatency)
 
 TEST(LatencyScoreboard, DemandMissProbedSplitsProbeOnce)
 {
-    LatencyScoreboard sb(1);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 1);
     sb.begin(0, RequestKind::Demand, 0, 7, 100);
     sb.demandMissProbed(0, 0, 7, 10, 130);
     // Re-splitting (merged secondary, backlog re-entry) is a no-op.
@@ -176,7 +178,8 @@ TEST(LatencyScoreboard, DemandMissProbedSplitsProbeOnce)
 
 TEST(LatencyScoreboard, NonMonotonicTransitionsClampWithoutViolation)
 {
-    LatencyScoreboard sb(1);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 1);
     sb.begin(0, RequestKind::Demand, 0, 9, 1000);
     sb.enter(0, RequestKind::Demand, 0, 9, LatencyPhase::Network, 1100);
     // A transition "in the past" (duplicate delivery, walk-start
@@ -189,7 +192,8 @@ TEST(LatencyScoreboard, NonMonotonicTransitionsClampWithoutViolation)
 
 TEST(LatencyScoreboard, StaleTagCompletionsAreIgnored)
 {
-    LatencyScoreboard sb(1);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 1);
     sb.begin(0, RequestKind::Invalidation, 0, 5, 100, /*tag=*/3);
     sb.finish(0, RequestKind::Invalidation, 0, 5, 150, /*tag=*/2);
     EXPECT_EQ(sb.finished(RequestKind::Invalidation), 0u);
@@ -201,7 +205,8 @@ TEST(LatencyScoreboard, StaleTagCompletionsAreIgnored)
 
 TEST(LatencyScoreboard, NewRoundSupersedesAbandonedToken)
 {
-    LatencyScoreboard sb(1);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 1);
     sb.begin(0, RequestKind::Invalidation, 0, 5, 100, /*tag=*/1);
     // Round 1's ack never arrived; round 2 starts a fresh token.
     sb.begin(0, RequestKind::Invalidation, 0, 5, 400, /*tag=*/2);
@@ -212,7 +217,8 @@ TEST(LatencyScoreboard, NewRoundSupersedesAbandonedToken)
 
 TEST(LatencyScoreboard, DroppedTokensRecordNothing)
 {
-    LatencyScoreboard sb(1);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 1);
     sb.begin(0, RequestKind::Demand, 0, 11, 100);
     sb.drop(0, RequestKind::Demand, 0, 11);
     EXPECT_FALSE(sb.active(RequestKind::Demand, 0, 11));
@@ -222,7 +228,8 @@ TEST(LatencyScoreboard, DroppedTokensRecordNothing)
 
 TEST(LatencyScoreboard, SeededViolationTripsHandler)
 {
-    LatencyScoreboard sb(1);
+    EventQueue eq;
+    LatencyScoreboard sb(eq, 1);
     std::vector<std::string> caught;
     sb.setViolationHandler(
         [&](const std::string &msg) { caught.push_back(msg); });

@@ -16,8 +16,9 @@
  *    order-insensitive trace digest in the results is bit-identical.
  *  - Windowed serve drives: per-epoch snapshotAndReset() windows
  *    merge the per-shard op lanes and match serial window for window.
- *  - The op-log merge order check: a lane flushed out of order must
- *    trip the violation handler (death test).
+ *  - The JSONL merge order check: a line lane merged out of order
+ *    must panic (death test). The OrderedLanes primitive's own check
+ *    is tested in test_ordered_lanes.cc.
  *  - resolveShards() reports every serialize reason in one warning.
  *  - Keepalive event-core semantics the sampler chains rely on.
  */
@@ -35,6 +36,7 @@
 #include "sim/event_queue.hh"
 #include "sim/latency.hh"
 #include "sim/sampler.hh"
+#include "sim/trace.hh"
 #include "workloads/workload.hh"
 
 namespace idyll
@@ -310,45 +312,24 @@ TEST(ShardedObs, EpochSnapshotsMergeAcrossShards)
 }
 
 // ------------------------------------------------------------------
-// The op-log merge order check
+// The JSONL line-lane merge order check
 // ------------------------------------------------------------------
 
-TEST(ShardedObs, MergeOrderViolationTripsTheHandlerDeathTest)
+TEST(ShardedObs, JsonlMergeOrderViolationDiesDeathTest)
 {
-    // Two raw ops on the same lane with DECREASING exec ticks forge
-    // the corruption a missed rendezvous flush would produce; the
-    // merge's monotonicity check must catch it (default: panic).
+    // Two lines on one lane with DECREASING ticks forge the corruption
+    // a missed rendezvous merge would produce; the OrderedLanes check
+    // must panic instead of writing them out.
     EXPECT_DEATH(
         {
-            EventQueue eq;
-            LatencyScoreboard sb(2);
-            sb.bindClock(&eq);
-            sb.logRawForTest(/*exec=*/0, /*execTick=*/100);
-            sb.logRawForTest(/*exec=*/0, /*execTick=*/50);
-            sb.flushOps();
+            std::ostringstream os;
+            JsonlTraceSink sink(os);
+            sink.enableSharding(2);
+            sink.record(TraceEvent{100, TraceOp::TlbHit, 0, 1});
+            sink.record(TraceEvent{50, TraceOp::TlbHit, 0, 2});
+            sink.mergeWindow();
         },
         "merge order violated");
-}
-
-TEST(ShardedObs, MergeOrderViolationRoutesToInstalledHandler)
-{
-    EventQueue eq;
-    LatencyScoreboard sb(2);
-    std::vector<std::string> caught;
-    sb.setViolationHandler(
-        [&](const std::string &msg) { caught.push_back(msg); });
-    sb.bindClock(&eq);
-    // Different lanes at the same tick are fine (lane rank breaks the
-    // tie); only a backwards step within the merged stream trips.
-    sb.logRawForTest(/*exec=*/kHostId, /*execTick=*/10);
-    sb.logRawForTest(/*exec=*/0, /*execTick=*/10);
-    sb.flushOps();
-    EXPECT_TRUE(caught.empty());
-    sb.logRawForTest(/*exec=*/1, /*execTick=*/4);
-    sb.flushOps();
-    ASSERT_EQ(caught.size(), 1u);
-    EXPECT_NE(caught[0].find("merge order violated"), std::string::npos);
-    EXPECT_EQ(sb.violations(), 1u);
 }
 
 // ------------------------------------------------------------------
