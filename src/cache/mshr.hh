@@ -4,8 +4,8 @@
  *
  * Tracks outstanding misses keyed by (here) virtual page number, so
  * that secondary misses to the same page merge into the primary miss
- * instead of issuing duplicate page walks. Payloads are the waiter
- * continuations replayed when the miss resolves.
+ * instead of issuing duplicate page walks. Payloads are the waiting
+ * requests, replayed when the miss resolves.
  */
 
 #ifndef IDYLL_CACHE_MSHR_HH
@@ -24,7 +24,7 @@ namespace idyll
  * MSHR file mapping Key -> list of waiting payloads.
  *
  * @tparam Key     miss identifier (e.g., Vpn).
- * @tparam Payload continuation captured per waiting request.
+ * @tparam Payload record kept per waiting request.
  */
 template <typename Key, typename Payload>
 class MshrFile
@@ -95,7 +95,7 @@ class MshrFile
 
     /**
      * Drop every entry and its waiters (hot-unplug teardown: the
-     * waiting continuations die with the device).
+     * waiting requests die with the device).
      */
     void clear() { _table.clear(); }
 

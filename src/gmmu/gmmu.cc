@@ -206,14 +206,13 @@ Gmmu::execute(Queued queued)
 
     result.walkCycles = cost;
     IDYLL_LAT(_latency, noteWalk(_gpu, levels, cost));
-    const std::uint64_t traceBatch =
-        req.kind == WalkKind::BatchInvalidate ? req.batch.size() : 0;
-    _eq.schedule(cost, [this, req = std::move(req), result, traceVpn,
-                        traceBatch]() mutable {
+    _eq.schedule(cost, [this, req = std::move(req), result,
+                        traceVpn]() mutable {
         --_busyWalkers;
+        result.batch = req.batch;
         IDYLL_TRACE(_tracer, WalkDone, _gpu, traceVpn,
                     static_cast<std::uint64_t>(result.kind),
-                    result.walkCycles, traceBatch);
+                    result.walkCycles, result.batch.size());
         req.done(result);
         tryDispatch();
         if (_busyWalkers < _walkers && _queue.empty() && _idleHook)

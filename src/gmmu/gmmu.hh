@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "gmmu/mmu_cache.hh"
@@ -50,7 +51,15 @@ struct WalkResult
     std::uint32_t invalidated = 0; ///< (Batch)Invalidate: valid PTEs hit
     Cycles queueWait = 0;
     Cycles walkCycles = 0;
+    /** BatchInvalidate: the request's VPNs, valid during the call. */
+    std::span<const Vpn> batch;
 };
+
+/**
+ * Walk-completion continuation. The capacity fits the largest Gpu
+ * walk closure (a `this` pointer plus three words of context).
+ */
+using WalkDoneFn = InlineFn<void(const WalkResult &), 32>;
 
 /** A unit of work for the walkers. */
 struct WalkRequest
@@ -59,7 +68,7 @@ struct WalkRequest
     Vpn vpn = 0;
     Pte newPte{};           ///< Update payload
     std::vector<Vpn> batch; ///< BatchInvalidate payload (shared base)
-    std::function<void(const WalkResult &)> done;
+    WalkDoneFn done;
 };
 
 /** GMMU statistics. */
@@ -123,7 +132,6 @@ class Gmmu
 
     MmuCacheHierarchy &mmuCache() { return _mmuCache; }
     const GmmuStats &stats() const { return _stats; }
-    RadixPageTable &pageTable() { return _pt; }
 
     /** Attach the owning GPU's tracer for walk start/done events. */
     void

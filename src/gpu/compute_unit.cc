@@ -14,11 +14,10 @@ ComputeUnit::ComputeUnit(EventQueue &eq, Gpu &gpu, std::uint32_t index,
 }
 
 void
-ComputeUnit::start(std::unique_ptr<CuStream> stream, EventFn onDone)
+ComputeUnit::start(std::unique_ptr<CuStream> stream)
 {
     IDYLL_ASSERT(stream, "CU launched without a stream");
     _stream = std::move(stream);
-    _onDone = std::move(onDone);
     // Each warp context independently drains the shared stream; this
     // is what hides memory latency across contexts.
     for (std::uint32_t w = 0; w < _warps; ++w)
@@ -31,16 +30,13 @@ ComputeUnit::step()
     _eq.noteProgress();
     std::optional<WorkItem> item = _stream->next();
     if (!item) {
-        if (++_doneWarps == _warps && _onDone)
-            _onDone();
+        if (++_doneWarps == _warps)
+            _gpu.noteCuDone();
         return;
     }
-    ++_items;
     _gpu.stats().instructions.inc(item->computeCycles + 1);
     const WorkItem work = *item;
-    auto issue = [this, work] {
-        _gpu.access(_index, work.va, work.write, [this] { step(); });
-    };
+    auto issue = [this, work] { _gpu.access(_index, work.va, work.write); };
     if (work.computeCycles == 0)
         issue();
     else

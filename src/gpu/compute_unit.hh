@@ -39,26 +39,22 @@ class ComputeUnit
                 std::uint32_t warps);
 
     /**
-     * Begin execution.
-     * @param stream work items for this CU.
-     * @param onDone invoked once every warp context has drained.
+     * Begin execution. The owning GPU's noteCuDone() runs once every
+     * warp context has drained @p stream.
      */
-    void start(std::unique_ptr<CuStream> stream, EventFn onDone);
+    void start(std::unique_ptr<CuStream> stream);
 
-    bool done() const { return _doneWarps == _warps; }
-    std::uint64_t itemsExecuted() const { return _items; }
-
-  private:
+    /** Resume a warp context (its access completed): issue its next
+     *  work item, or retire it when the stream is empty. */
     void step();
 
+  private:
     EventQueue &_eq;
     Gpu &_gpu;
     std::uint32_t _index;
     std::uint32_t _warps;
     std::uint32_t _doneWarps = 0;
-    std::uint64_t _items = 0;
     std::unique_ptr<CuStream> _stream;
-    EventFn _onDone;
 };
 
 } // namespace idyll

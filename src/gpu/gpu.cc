@@ -35,27 +35,26 @@ Gpu::Gpu(EventQueue &eq, const SystemConfig &cfg, GpuId id, Network &net,
 // --------------------------------------------------------------------
 
 void
-Gpu::launch(std::vector<std::unique_ptr<CuStream>> streams, EventFn onDone)
+Gpu::launch(std::vector<std::unique_ptr<CuStream>> streams)
 {
     IDYLL_ASSERT(streams.size() == _cfg.cusPerGpu,
                  "expected ", _cfg.cusPerGpu, " streams, got ",
                  streams.size());
-    _onDone = std::move(onDone);
     _cus.clear();
     _doneCus = 0;
     for (std::uint32_t i = 0; i < _cfg.cusPerGpu; ++i) {
         _cus.push_back(std::make_unique<ComputeUnit>(_eq, *this, i,
                                                      _cfg.warpsPerCu));
     }
-    for (std::uint32_t i = 0; i < _cfg.cusPerGpu; ++i) {
-        _cus[i]->start(std::move(streams[i]), [this] {
-            if (++_doneCus == _cus.size()) {
-                _finishTick = _eq.now();
-                if (_onDone)
-                    _onDone();
-            }
-        });
-    }
+    for (std::uint32_t i = 0; i < _cfg.cusPerGpu; ++i)
+        _cus[i]->start(std::move(streams[i]));
+}
+
+void
+Gpu::noteCuDone()
+{
+    if (++_doneCus == _cus.size())
+        _finishTick = _eq.now();
 }
 
 // --------------------------------------------------------------------
@@ -94,7 +93,7 @@ Gpu::mshrWantsWrite(Vpn vpn) const
 // --------------------------------------------------------------------
 
 void
-Gpu::access(std::uint32_t cu, VAddr va, bool write, EventFn done)
+Gpu::access(std::uint32_t cu, VAddr va, bool write)
 {
     if (_dead)
         return; // the CU issuing this died with the device
@@ -108,46 +107,34 @@ Gpu::access(std::uint32_t cu, VAddr va, bool write, EventFn done)
     ++state.accessTally;
 
     TlbProbeResult probe = _tlbs.probe(cu, vpn);
-    if (probe.hit) {
+    if (probe.hit && (!write || probe.entry.writable)) {
         // Skipped while an install walk is in flight, as in
         // completeTranslation: the oracle's shadow state lags the PTE.
-        if (_oracle && !(write && !probe.entry.writable) &&
-            state.installsInFlight == 0)
+        if (_oracle && state.installsInFlight == 0)
             _oracle->onServeFromLocalPte(_id, vpn, probe.entry.pfn,
                                          write);
-        if (write && !probe.entry.writable) {
-            // Write to a read-only (replica) translation: permission
-            // fault. Drop the stale translation and take the miss
-            // path with a forced far fault.
-            _stats.writePermissionFaults.inc();
-            _tlbs.shootdown(vpn);
-            IDYLL_LAT(_latency, begin(_id, RequestKind::Demand, _id, vpn,
-                                      _eq.now()));
-            Waiter w{cu, write, std::move(done), _eq.now() + probe.latency};
-            _eq.schedule(probe.latency,
-                         [this, cu, vpn, w = std::move(w)]() mutable {
-                             handleL2Miss(cu, vpn, std::move(w), true);
-                         });
-            return;
-        }
-        dataAccess(cu, vpn, probe.entry.pfn, write, probe.latency,
-                   std::move(done));
+        dataAccess(cu, vpn, probe.entry.pfn, write, probe.latency);
         return;
     }
-
-    _stats.demandTlbMisses.inc();
+    if (probe.hit) {
+        // Write to a read-only (replica) translation: permission
+        // fault. Drop the stale translation and take the miss path
+        // with a forced far fault.
+        _stats.writePermissionFaults.inc();
+        _tlbs.shootdown(vpn);
+    } else {
+        _stats.demandTlbMisses.inc();
+    }
     IDYLL_LAT(_latency,
               begin(_id, RequestKind::Demand, _id, vpn, _eq.now()));
-    Waiter w{cu, write, std::move(done), _eq.now() + probe.latency};
-    _eq.schedule(probe.latency,
-                 [this, cu, vpn, w = std::move(w)]() mutable {
-                     handleL2Miss(cu, vpn, std::move(w), false);
-                 });
+    const Waiter w{cu, write, _eq.now() + probe.latency};
+    _eq.schedule(probe.latency, [this, vpn, w, force = probe.hit] {
+        handleL2Miss(vpn, w, force);
+    });
 }
 
 void
-Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
-                  bool forceFault)
+Gpu::handleL2Miss(Vpn vpn, Waiter waiter, bool forceFault)
 {
     if (_dead)
         return; // probe continuation outlived the device
@@ -157,7 +144,7 @@ Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
                                          _cfg.l1Tlb.lookupLatency,
                                          _eq.now()));
     if (_mshr.contains(vpn)) {
-        _mshr.allocate(vpn, std::move(waiter)); // merge as secondary
+        _mshr.allocate(vpn, waiter); // merge as secondary
         return;
     }
     if (_mshr.full()) {
@@ -165,12 +152,11 @@ Gpu::handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
         _stats.mshrRetries.inc();
         IDYLL_LAT(_latency, enter(_id, RequestKind::Demand, _id, vpn,
                                   LatencyPhase::MshrWait, _eq.now()));
-        _missBacklog.push_back(
-            BackloggedMiss{cu, vpn, std::move(waiter), forceFault});
+        _missBacklog.push_back(BackloggedMiss{vpn, waiter, forceFault});
         return;
     }
     const bool wants_write = waiter.write;
-    _mshr.allocate(vpn, std::move(waiter)); // primary
+    _mshr.allocate(vpn, waiter); // primary
     IDYLL_LAT(_latency, enter(_id, RequestKind::Demand, _id, vpn,
                               LatencyPhase::IrmbProbe, _eq.now()));
 
@@ -289,24 +275,24 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
 void
 Gpu::releaseWaiters(Vpn vpn, Pfn pfn, bool writable, bool cache)
 {
-    std::vector<Waiter> waiters = _mshr.release(vpn);
+    const std::vector<Waiter> waiters = _mshr.release(vpn);
     std::vector<Waiter> need_fault;
     const Tick now = _eq.now();
-    for (Waiter &w : waiters) {
+    for (const Waiter &w : waiters) {
         if (w.write && !writable) {
-            need_fault.push_back(std::move(w));
+            need_fault.push_back(w);
             continue;
         }
         if (cache)
             _tlbs.fill(w.cu, vpn, TlbEntry{pfn, writable});
         _stats.demandTlbMissLatency.sample(
             static_cast<double>(now - w.missStart));
-        dataAccess(w.cu, vpn, pfn, w.write, 0, std::move(w.done));
+        dataAccess(w.cu, vpn, pfn, w.write, 0);
     }
     if (!need_fault.empty()) {
         _stats.writePermissionFaults.inc();
-        for (Waiter &w : need_fault)
-            _mshr.allocate(vpn, std::move(w));
+        for (const Waiter &w : need_fault)
+            _mshr.allocate(vpn, w);
         raiseFarFault(vpn, true, /*skipPrt=*/true);
     } else {
         IDYLL_LAT(_latency,
@@ -323,48 +309,42 @@ Gpu::drainMissBacklog()
         // needs a free MSHR slot.
         if (!_mshr.contains(_missBacklog.front().vpn) && _mshr.full())
             return;
-        BackloggedMiss miss = std::move(_missBacklog.front());
+        const BackloggedMiss miss = _missBacklog.front();
         _missBacklog.pop_front();
-        handleL2Miss(miss.cu, miss.vpn, std::move(miss.waiter),
-                     miss.forceFault);
+        handleL2Miss(miss.vpn, miss.waiter, miss.forceFault);
     }
 }
 
 void
 Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
-                Cycles after, EventFn done)
+                Cycles after)
 {
     if (_dead)
         return;
-    (void)write;
     const auto owner = static_cast<GpuId>(ownerOf(pfn));
     if (owner == _id) {
         _stats.localAccesses.inc();
-        _eq.schedule(after + _cfg.localDramLatency, std::move(done));
+        _eq.schedule(after + _cfg.localDramLatency,
+                     [this, cu] { completeAccess(cu); });
         return;
     }
     IDYLL_ASSERT(owner < _cfg.numGpus,
                  "translation points at unknown device ", owner);
 
+    const VAddr va = vpn << _layout.pageBits;
     if (!_net.reachable(owner)) {
         // The page's home died under this translation. Drop the stale
         // local state and retry the whole access after a link-latency
         // NACK; the retry far-faults and blocks in the driver until
         // recovery re-homes the page. Retries do not count as watchdog
         // progress, so a page that never recovers still trips it.
-        _stats.deadHomeRetries.inc();
         _tlbs.shootdown(vpn);
         if (_localPt.invalidate(vpn))
             noteMappingDropped(vpn);
         _gmmu.mmuCache().invalidateVpn(vpn);
         if (_oracle)
             _oracle->onLocalDrop(_id, vpn);
-        const VAddr va = vpn << _layout.pageBits;
-        _eq.schedule(after + _cfg.interGpuLink.latency,
-                     [this, cu, va, write,
-                      done = std::move(done)]() mutable {
-                         access(cu, va, write, std::move(done));
-                     });
+        retryAccess(cu, va, write, after + _cfg.interGpuLink.latency);
         return;
     }
     _stats.remoteAccesses.inc();
@@ -392,40 +372,43 @@ Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
     // pre-checks reachability and NACK-retries the whole access (the
     // retry re-translates and takes the dead-home recovery path
     // above) instead of silently losing the CU's completion.
-    const VAddr va = vpn << _layout.pageBits;
-    auto nackRetry = [this, cu, va, write](EventFn cb) {
-        _stats.deadHomeRetries.inc();
-        _eq.schedule(_cfg.interGpuLink.latency,
-                     [this, cu, va, write, cb = std::move(cb)]() mutable {
-                         access(cu, va, write, std::move(cb));
-                     });
-    };
-    auto remote_read = [this, owner, nackRetry,
-                        done = std::move(done)]() mutable {
+    auto remote_reply = [this, cu, va, write, owner] {
         if (!_net.reachable(owner)) {
-            nackRetry(std::move(done));
+            retryAccess(cu, va, write, _cfg.interGpuLink.latency);
             return;
         }
-        _net.send(
-            _id, owner, 32, MsgClass::RemoteData,
-            [this, owner, nackRetry, done = std::move(done)]() mutable {
-                _eq.schedule(
-                    _cfg.localDramLatency,
-                    [this, owner, nackRetry,
-                     done = std::move(done)]() mutable {
-                        if (!_net.reachable(owner)) {
-                            nackRetry(std::move(done));
-                            return;
-                        }
-                        _net.send(owner, _id, 64, MsgClass::RemoteData,
-                                  std::move(done));
-                    });
-            });
+        _net.send(owner, _id, 64, MsgClass::RemoteData,
+                  [this, cu] { completeAccess(cu); });
+    };
+    auto remote_read = [this, cu, va, write, owner, remote_reply] {
+        if (!_net.reachable(owner)) {
+            retryAccess(cu, va, write, _cfg.interGpuLink.latency);
+            return;
+        }
+        _net.send(_id, owner, 32, MsgClass::RemoteData, [this, remote_reply] {
+            _eq.schedule(_cfg.localDramLatency, remote_reply);
+        });
     };
     if (after == 0)
         remote_read();
     else
-        _eq.schedule(after, std::move(remote_read));
+        _eq.schedule(after, remote_read);
+}
+
+void
+Gpu::retryAccess(std::uint32_t cu, VAddr va, bool write, Cycles delay)
+{
+    _stats.deadHomeRetries.inc();
+    _eq.schedule(delay, [this, cu, va, write] { access(cu, va, write); });
+}
+
+void
+Gpu::completeAccess(std::uint32_t cu)
+{
+    ++_completedAccesses;
+    // Accesses issued outside a launch have no warp to resume.
+    if (cu < _cus.size())
+        _cus[cu]->step();
 }
 
 // --------------------------------------------------------------------
@@ -601,15 +584,14 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
     const Tick submitted = _eq.now();
     WalkRequest req;
     req.kind = WalkKind::BatchInvalidate;
-    req.batch = batch;
-    req.done = [this, batch = std::move(batch),
-                submitted](const WalkResult &result) {
+    req.batch = std::move(batch);
+    req.done = [this, submitted](const WalkResult &result) {
         if (_dead)
             return;
         const double share =
             static_cast<double>(_eq.now() - submitted) /
-            static_cast<double>(batch.size());
-        for (Vpn vpn : batch) {
+            static_cast<double>(result.batch.size());
+        for (Vpn vpn : result.batch) {
             _vpns[vpn].writebackInFlight = false;
             _tlbs.shootdown(vpn); // close the fill race
             noteMappingDropped(vpn);
@@ -622,7 +604,6 @@ Gpu::submitIrmbBatch(Irmb::Batch batch)
             }
             _stats.invalWritebackShare.sample(share);
         }
-        (void)result;
     };
     _gmmu.submit(std::move(req));
 }

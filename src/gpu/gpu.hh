@@ -108,18 +108,21 @@ class Gpu : public GpuItf
     void prepopulateMapping(Vpn vpn, Pfn pfn, bool writable = true);
 
     /**
-     * Launch the workload: one stream per CU.
+     * Launch the workload: one stream per CU. finishTick() records
+     * when the last CU drains.
      * @param streams exactly cusPerGpu streams.
-     * @param onDone  invoked when every CU has drained.
      */
-    void launch(std::vector<std::unique_ptr<CuStream>> streams,
-                EventFn onDone);
+    void launch(std::vector<std::unique_ptr<CuStream>> streams);
 
     /**
-     * Issue one data access from @p cu; @p done fires when the data
-     * (local or remote) has been delivered.
+     * Issue one data access from @p cu. When the data (local or
+     * remote) has been delivered, completedAccesses() counts it and
+     * CU @p cu, if launched, resumes the warp context that issued it.
      */
-    void access(std::uint32_t cu, VAddr va, bool write, EventFn done);
+    void access(std::uint32_t cu, VAddr va, bool write);
+
+    /** A CU's warp contexts have all drained its stream. */
+    void noteCuDone();
 
     /**
      * Hot-unplug: the device vanishes from the fabric. All caches,
@@ -184,6 +187,9 @@ class Gpu : public GpuItf
      */
     bool allCusDone() const { return _retired || _doneCus == _cus.size(); }
 
+    /** Accesses whose data has been delivered. */
+    std::uint64_t completedAccesses() const { return _completedAccesses; }
+
     // --- occupancy probes (interval sampler) ------------------------------
     std::size_t mshrOccupancy() const { return _mshr.size(); }
     std::size_t missBacklogDepth() const { return _missBacklog.size(); }
@@ -196,12 +202,10 @@ class Gpu : public GpuItf
     {
         std::uint32_t cu = 0;
         bool write = false;
-        EventFn done;
         Tick missStart = 0;
     };
 
-    void handleL2Miss(std::uint32_t cu, Vpn vpn, Waiter waiter,
-                      bool forceFault);
+    void handleL2Miss(Vpn vpn, Waiter waiter, bool forceFault);
     void onDemandWalkDone(Vpn vpn, std::uint32_t epoch,
                           const WalkResult &result);
     void raiseFarFault(Vpn vpn, bool write, bool skipPrt);
@@ -226,7 +230,11 @@ class Gpu : public GpuItf
      */
     void releaseWaiters(Vpn vpn, Pfn pfn, bool writable, bool cache);
     void dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
-                    Cycles after, EventFn done);
+                    Cycles after);
+    /** NACK: count a dead-home retry, re-issue after @p delay. */
+    void retryAccess(std::uint32_t cu, VAddr va, bool write, Cycles delay);
+    /** The data of an access from @p cu has been delivered. */
+    void completeAccess(std::uint32_t cu);
     void markInvalApplied(Vpn vpn, std::uint32_t round);
     void sendInvalAck(Vpn vpn, std::uint32_t round, bool wasValid);
     void submitIrmbBatch(Irmb::Batch batch);
@@ -255,7 +263,6 @@ class Gpu : public GpuItf
 
     struct BackloggedMiss
     {
-        std::uint32_t cu;
         Vpn vpn;
         Waiter waiter;
         bool forceFault;
@@ -307,7 +314,7 @@ class Gpu : public GpuItf
     std::vector<std::unique_ptr<ComputeUnit>> _cus;
     std::uint32_t _doneCus = 0;
     Tick _finishTick = 0;
-    EventFn _onDone;
+    std::uint64_t _completedAccesses = 0;
 
     GpuStats _stats;
 };

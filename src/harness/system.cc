@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -344,15 +345,12 @@ MultiGpuSystem::launch(const Workload &workload)
     for (auto &gpu : _gpus) {
         // Initial CU events must land on the queue of the shard that
         // owns the GPU, not on the root queue this thread defaults to.
+        std::optional<ShardScope> scope;
         if (_sharder) {
             const std::uint32_t s = _sharder->shardOfNode(gpu->id());
-            ShardScope scope(_sharder->shardQueue(s), s);
-            gpu->launch(workload.buildStreams(gpu->id(), _cfg, _layout),
-                        EventFn{});
-        } else {
-            gpu->launch(workload.buildStreams(gpu->id(), _cfg, _layout),
-                        EventFn{});
+            scope.emplace(_sharder->shardQueue(s), s);
         }
+        gpu->launch(workload.buildStreams(gpu->id(), _cfg, _layout));
     }
     if (_sampler)
         _sampler->start();

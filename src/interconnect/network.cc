@@ -121,13 +121,13 @@ Network::foldStats()
     }
 }
 
-void
-Network::send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
-              GpuId execNode, EventFn onArrival)
+Network::Route
+Network::route(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls)
 {
     IDYLL_ASSERT(src != dst, "loopback send from node ", src);
 
     StatLane &stats = statLane();
+    Route r;
 
     // Fail fast on a dead peer: no link time, no delivery, no hung
     // sender. Checked before any accounting so a degraded system's
@@ -136,7 +136,7 @@ Network::send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
         stats.unreachableDrops.inc();
         IDYLL_TRACE(_tracer, NetSend, src, 0, dst, 0,
                     static_cast<std::uint64_t>(cls));
-        return;
+        return r;
     }
 
     const std::size_t li = linkIndex(src, dst);
@@ -162,7 +162,7 @@ Network::send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
         std::ceil(static_cast<double>(bytes) / link.bytesPerCycle));
     lane.nextFree = start + std::max<Cycles>(ser, 1);
 
-    Tick arrival = lane.nextFree + link.latency;
+    r.arrival = lane.nextFree + link.latency;
 
     // Delivery key: (lane id + 1, per-lane message counter). Lane
     // counters advance in their owner shard's execution order, which
@@ -172,7 +172,7 @@ Network::send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
     // which must sort before every delivery at a tick.
     const std::uint64_t laneId =
         static_cast<std::uint64_t>(li) * 2 + laneSel;
-    const std::uint64_t key = ((laneId + 1) << 48) | lane.msgSeq++;
+    r.key = ((laneId + 1) << 48) | lane.msgSeq++;
 
     stats.totalBytes.inc(bytes);
     stats.queueDelay.sample(static_cast<double>(start - now));
@@ -185,40 +185,32 @@ Network::send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
 
     if (_injector) {
         if (auto fc = faultClassOf(cls)) {
-            const FaultInjector::Decision d = _injector->decide(*fc, key);
+            const FaultInjector::Decision d = _injector->decide(*fc, r.key);
             if (d.drop)
-                return; // link time consumed, message never delivered
+                return r; // link time consumed, message never delivered
             if (d.duplicate) {
-                EventFn copy = onArrival;
-                const std::uint64_t dupKey =
-                    ((laneId + 1) << 48) | lane.msgSeq++;
-                _eq.scheduleDeliveryAt(
-                    execNode, arrival + d.extraDelay + d.duplicateDelay,
-                    dupKey, std::move(copy));
+                r.duplicate = true;
+                r.dupArrival =
+                    r.arrival + d.extraDelay + d.duplicateDelay;
+                r.dupKey = ((laneId + 1) << 48) | lane.msgSeq++;
             }
-            arrival += d.extraDelay;
+            r.arrival += d.extraDelay;
         }
     }
 
     if (_trackInFlight) {
-        // Dropped messages returned above; injector-made duplicates are
-        // deliberately not wrapped so each send decrements exactly once.
-        // Increment on the sending shard's delta lane, decrement on the
-        // executing shard's: each lane is single-writer, and the global
-        // count is the wrapping sum of the (possibly negative) lanes.
+        // Dropped messages returned above. Increment on the sending
+        // shard's delta lane, decrement on the executing shard's
+        // (send()): each lane is single-writer, and the global count
+        // is the wrapping sum of the (possibly negative) lanes.
         const bool host_leg = (src == kHostId || dst == kHostId);
-        const std::size_t leg = host_leg ? 1 : 0;
-        _inFlight[EventQueue::currentShard()].legs[leg] +=
+        r.tracked = true;
+        r.leg = host_leg ? 1 : 0;
+        _inFlight[EventQueue::currentShard()].legs[r.leg] +=
             static_cast<std::int64_t>(bytes);
-        onArrival = [this, leg, bytes,
-                     inner = std::move(onArrival)]() {
-            _inFlight[EventQueue::currentShard()].legs[leg] -=
-                static_cast<std::int64_t>(bytes);
-            inner();
-        };
     }
-
-    _eq.scheduleDeliveryAt(execNode, arrival, key, std::move(onArrival));
+    r.deliver = true;
+    return r;
 }
 
 } // namespace idyll

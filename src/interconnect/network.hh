@@ -30,7 +30,8 @@
 #define IDYLL_INTERCONNECT_NETWORK_HH
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
@@ -85,13 +86,16 @@ class Network
      * destroyed without running — the sender must not rely on
      * delivery for its own liveness (the driver's retry/abort paths
      * provide that). The arrival callback executes on the shard
-     * owning @p dst.
+     * owning @p dst. It must be copyable (the fault injector may
+     * deliver a message twice) and must not hold an EventFn: the
+     * network wraps the concrete callable before erasing it.
      */
+    template <typename F>
     void
     send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
-         EventFn onArrival)
+         F &&onArrival)
     {
-        send(src, dst, bytes, cls, dst, std::move(onArrival));
+        send(src, dst, bytes, cls, dst, std::forward<F>(onArrival));
     }
 
     /**
@@ -101,8 +105,37 @@ class Network
      * the payload lands at a GPU, but the completion handler mutates
      * host-side driver state.
      */
-    void send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
-              GpuId execNode, EventFn onArrival);
+    template <typename F>
+    void
+    send(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls,
+         GpuId execNode, F &&onArrival)
+    {
+        static_assert(std::is_copy_constructible_v<std::decay_t<F>>,
+                      "arrival callbacks must be copyable");
+        const Route r = route(src, dst, bytes, cls);
+        if (!r.deliver)
+            return;
+        // Injector-made duplicates are deliberately not wrapped, so
+        // each send decrements the in-flight count exactly once.
+        if (r.duplicate)
+            _eq.scheduleDeliveryAt(execNode, r.dupArrival, r.dupKey,
+                                   EventFn(onArrival));
+        if (!r.tracked) {
+            _eq.scheduleDeliveryAt(execNode, r.arrival, r.key,
+                                   std::forward<F>(onArrival));
+            return;
+        }
+        // Decrement on the executing shard's delta lane (route()
+        // incremented the sending shard's).
+        _eq.scheduleDeliveryAt(
+            execNode, r.arrival, r.key,
+            [this, leg = r.leg, bytes,
+             fn = std::forward<F>(onArrival)]() mutable {
+                _inFlight[EventQueue::currentShard()].legs[leg] -=
+                    static_cast<std::int64_t>(bytes);
+                fn();
+            });
+    }
 
     /**
      * Mark @p node unreachable (hot-unplugged). Messages already on
@@ -185,22 +218,6 @@ class Network
     void setOccupancyTracking(bool on) { _trackInFlight = on; }
 
     /**
-     * Bytes currently occupying links (serializing or propagating),
-     * summed over every shard's delta lane -- call only while the
-     * queue is quiescent. @p hostLeg selects the PCIe legs; false
-     * selects GPU<->GPU.
-     */
-    std::uint64_t
-    inFlightBytes(bool hostLeg) const
-    {
-        std::uint64_t sum = 0;
-        for (const InFlightLane &lane : _inFlight)
-            sum += static_cast<std::uint64_t>(
-                lane.legs[hostLeg ? 1 : 0]);
-        return sum;
-    }
-
-    /**
      * The calling shard's slice of the in-flight count, as a wrapped
      * unsigned word. A shard that saw more arrivals than sends reads
      * as a huge value; summing every shard's slice with wraparound
@@ -217,6 +234,24 @@ class Network
     }
 
   private:
+    /** Where and when send() delivers one message. */
+    struct Route
+    {
+        bool deliver = false;   ///< false: dropped at the source or lost
+        bool duplicate = false; ///< the fault injector delivers it twice
+        bool tracked = false;   ///< counted in the in-flight bytes
+        std::size_t leg = 0;    ///< in-flight leg: 0 NVLink, 1 PCIe
+        Tick arrival = 0, dupArrival = 0;
+        std::uint64_t key = 0, dupKey = 0;
+    };
+
+    /**
+     * Everything send() does except scheduling: reachability, link
+     * FIFO time, delivery keys, traffic stats, tracing, fault
+     * injection, and the in-flight increment.
+     */
+    Route route(GpuId src, GpuId dst, std::uint64_t bytes, MsgClass cls);
+
     /**
      * One virtual channel of a directed link: its FIFO cursor and its
      * delivery-key counter. Single-writer under sharding.

@@ -10,12 +10,12 @@
  * Hot-path design (the walker-queue and event-dispatch paths dominate
  * simulator wall-clock time, see DESIGN.md "Event core"):
  *
- *  - Callbacks are stored in InlineEvent, a type-erased move-only
- *    callable with a fixed inline buffer sized for the largest capture
- *    used by a scheduling site (gpu.cc / gmmu.cc / uvm_driver.cc /
- *    network.cc). Scheduling a lambda never heap-allocates; dispatch
- *    is one indirect call through a static ops table (no virtual
- *    dispatch, no std::function).
+ *  - Callbacks are stored as EventFn, an InlineFn: a type-erased
+ *    move-only callable with a fixed inline buffer sized for the
+ *    largest capture used by a scheduling site (the GMMU's walk
+ *    completion). A callable that does not fit fails to compile, so
+ *    scheduling never heap-allocates; dispatch is one indirect call
+ *    through a static ops table (no virtual dispatch).
  *  - Event nodes live in a slab arena with an intrusive free list.
  *    Executed and cancelled nodes are recycled, so a steady-state
  *    simulation performs zero allocations per event.
@@ -89,16 +89,6 @@ namespace idyll
 {
 
 /**
- * Callback type used by components to hand completion continuations to
- * each other (Waiter::done, WalkRequest::done, Network::send's
- * onArrival, ...). The event queue itself does NOT store these: any
- * callable handed to schedule()/scheduleAt() is captured directly in
- * an InlineEvent, so passing a lambda avoids the std::function
- * round trip entirely.
- */
-using EventFn = std::function<void()>;
-
-/**
  * Raised by EventQueue::scheduleAt when a callback targets a tick that
  * has already passed. Carries both ticks so callers (and tests) can
  * report the exact offense instead of dying on an assertion.
@@ -143,30 +133,31 @@ constexpr std::uint64_t kNormalEventKey =
 constexpr std::uint64_t kKeepaliveEventKey = 0;
 
 /**
- * Type-erased move-only nullary callable with inline storage.
+ * Type-erased move-only callable with inline storage, for every
+ * continuation on the event path.
  *
- * The inline capacity is sized for the largest scheduling-site capture
- * in the simulator (the GMMU walker-completion lambda: a `this`
- * pointer, a moved WalkRequest incl. its batch vector and completion
- * std::function, a WalkResult, and two trace words -- ~160 bytes).
- * Callables that fit are constructed in place; dispatch is a single
- * indirect call through a per-type static ops table. Oversized
- * callables fall back to one heap allocation so the type stays total,
- * but no current scheduling site takes that path (asserted by the
- * pool-recycling tests).
+ * A callable is constructed in place in a fixed buffer of @p Capacity
+ * bytes; calling it is one indirect call through a per-type static
+ * ops table (no virtual dispatch, no std::function). There is no heap
+ * fallback: binding a callable that does not fit is a compile error,
+ * so no continuation ever allocates. Wrap before erasing: a layer that
+ * adds work around a continuation (in-flight accounting, worker-pool
+ * bookkeeping) wraps the caller's concrete callable and erases the
+ * result once. A callable holding an EventFn could never fit one.
  */
-class InlineEvent
+template <typename Signature, std::size_t Capacity>
+class InlineFn;
+
+template <typename R, typename... Args, std::size_t Capacity>
+class InlineFn<R(Args...), Capacity>
 {
   public:
-    /** Inline buffer size; covers every scheduling site's capture. */
-    static constexpr std::size_t kInlineCapacity = 192;
-
-    InlineEvent() = default;
+    InlineFn() = default;
 
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineEvent>>>
-    InlineEvent(F &&fn) // NOLINT: implicit by design, mirrors function
+                  !std::is_same_v<std::decay_t<F>, InlineFn>>>
+    InlineFn(F &&fn) // NOLINT: implicit by design, mirrors function
     {
         emplace(std::forward<F>(fn));
     }
@@ -174,33 +165,29 @@ class InlineEvent
     /**
      * Bind a callable in place (the event queue uses this to construct
      * callbacks directly inside pooled nodes, skipping every move).
-     * Must only be called on an empty InlineEvent.
+     * Must only be called on an empty InlineFn.
      */
     template <typename F>
     void
     emplace(F &&fn)
     {
         using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, Fn &>,
-                      "event callback must be callable as void()");
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(_storage))
-                Fn(std::forward<F>(fn));
-            _ops = &kInlineOps<Fn>;
-        } else {
-            ::new (static_cast<void *>(_storage))
-                Fn *(new Fn(std::forward<F>(fn)));
-            _ops = &kHeapOps<Fn>;
-        }
+        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
+                      "callable does not match the InlineFn signature");
+        static_assert(fitsInline<Fn>(),
+                      "callable does not fit InlineFn's inline buffer: "
+                      "shrink its capture or raise the capacity");
+        ::new (static_cast<void *>(_storage)) Fn(std::forward<F>(fn));
+        _ops = &kOps<Fn>;
     }
 
-    InlineEvent(const InlineEvent &) = delete;
-    InlineEvent &operator=(const InlineEvent &) = delete;
+    InlineFn(const InlineFn &) = delete;
+    InlineFn &operator=(const InlineFn &) = delete;
 
-    InlineEvent(InlineEvent &&other) noexcept { moveFrom(other); }
+    InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
 
-    InlineEvent &
-    operator=(InlineEvent &&other) noexcept
+    InlineFn &
+    operator=(InlineFn &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -209,7 +196,7 @@ class InlineEvent
         return *this;
     }
 
-    ~InlineEvent() { reset(); }
+    ~InlineFn() { reset(); }
 
     /** Destroy the bound callable (no-op when empty). */
     void
@@ -226,17 +213,18 @@ class InlineEvent
     explicit operator bool() const { return _ops != nullptr; }
 
     /** Invoke the bound callable (undefined when empty). */
-    void operator()() { _ops->invoke(_storage); }
+    R
+    operator()(Args... args)
+    {
+        return _ops->invoke(_storage, std::forward<Args>(args)...);
+    }
 
-    /** True when the bound callable lives in the inline buffer. */
-    bool inlineStored() const { return _ops && _ops->inlineStored; }
-
-    /** Whether a callable of type Fn would be stored inline. */
+    /** Whether a callable of type Fn can be bound. */
     template <typename Fn>
     static constexpr bool
     fitsInline()
     {
-        return sizeof(Fn) <= kInlineCapacity &&
+        return sizeof(Fn) <= Capacity &&
                alignof(Fn) <= alignof(std::max_align_t) &&
                std::is_nothrow_move_constructible_v<Fn>;
     }
@@ -245,20 +233,19 @@ class InlineEvent
     /** Per-type static dispatch table (no virtual calls). */
     struct Ops
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args...);
         void (*relocate)(void *dst, void *src) noexcept;
-        /** Null for trivially destructible inline callables. */
+        /** Null for trivially destructible callables. */
         void (*destroy)(void *) noexcept;
-        bool inlineStored;
     };
 
     template <typename Fn>
-    struct InlineModel
+    struct Model
     {
-        static void
-        invoke(void *p)
+        static R
+        invoke(void *p, Args... args)
         {
-            (*static_cast<Fn *>(p))();
+            return (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
         }
 
         static void
@@ -276,39 +263,13 @@ class InlineEvent
     };
 
     template <typename Fn>
-    struct HeapModel
-    {
-        static Fn *&slot(void *p) { return *static_cast<Fn **>(p); }
-
-        static void invoke(void *p) { (*slot(p))(); }
-
-        static void
-        relocate(void *dst, void *src) noexcept
-        {
-            ::new (dst) Fn *(slot(src));
-        }
-
-        static void
-        destroy(void *p) noexcept
-        {
-            delete slot(p);
-        }
-    };
-
-    template <typename Fn>
-    static constexpr Ops kInlineOps{
-        &InlineModel<Fn>::invoke, &InlineModel<Fn>::relocate,
+    static constexpr Ops kOps{
+        &Model<Fn>::invoke, &Model<Fn>::relocate,
         std::is_trivially_destructible_v<Fn> ? nullptr
-                                             : &InlineModel<Fn>::destroy,
-        true};
-
-    template <typename Fn>
-    static constexpr Ops kHeapOps{&HeapModel<Fn>::invoke,
-                                  &HeapModel<Fn>::relocate,
-                                  &HeapModel<Fn>::destroy, false};
+                                             : &Model<Fn>::destroy};
 
     void
-    moveFrom(InlineEvent &other) noexcept
+    moveFrom(InlineFn &other) noexcept
     {
         _ops = other._ops;
         if (_ops)
@@ -317,8 +278,17 @@ class InlineEvent
     }
 
     const Ops *_ops = nullptr;
-    alignas(std::max_align_t) std::byte _storage[kInlineCapacity];
+    alignas(std::max_align_t) std::byte _storage[Capacity];
 };
+
+/**
+ * The one callable type the event queue stores, and the one that
+ * crosses component boundaries on the event path (deliveries, shard
+ * deposits). The capacity covers the largest scheduling site: the
+ * GMMU walker-completion lambda (a `this` pointer, a moved WalkRequest
+ * with its batch vector and completion, and a WalkResult).
+ */
+using EventFn = InlineFn<void(), 192>;
 
 class EventQueue;
 
@@ -416,8 +386,8 @@ class EventQueue
     /**
      * Schedule a callback @p delay cycles in the future.
      * @param delay cycles from now (0 = later this tick).
-     * @param fn    callback to run (any void() callable; passing a
-     *              lambda directly avoids std::function entirely).
+     * @param fn    callback to run (any void() callable; a lambda is
+     *              constructed in place in the event's node).
      * @return handle accepted by cancel().
      */
     template <typename F>
@@ -673,7 +643,7 @@ class EventQueue
         bool scheduled = false;
         bool isCancelled = false;
         bool keepalive = false;
-        InlineEvent fn;
+        EventFn fn;
         Node *next = nullptr;
     };
 
@@ -745,14 +715,20 @@ class EventQueue
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>)
             checkNonNull(static_cast<bool>(fn));
         Node *node = prepareNode(when, key);
-        try {
-            node->fn.emplace(std::forward<F>(fn));
-        } catch (...) {
-            // The node is already queued; abandon it as a cancelled
-            // entry so pruning reclaims it lazily.
-            node->isCancelled = true;
-            --_livePending;
-            throw;
+        if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+            // Already erased (a delivery or a shard deposit): move it
+            // into the node as is.
+            node->fn = std::forward<F>(fn);
+        } else {
+            try {
+                node->fn.emplace(std::forward<F>(fn));
+            } catch (...) {
+                // The node is already queued; abandon it as a
+                // cancelled entry so pruning reclaims it lazily.
+                node->isCancelled = true;
+                --_livePending;
+                throw;
+            }
         }
         return EventId{node->seq, node, this};
     }

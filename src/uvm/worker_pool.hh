@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -29,11 +30,21 @@ class WorkerPool
         IDYLL_ASSERT(workers > 0, "worker pool needs >= 1 worker");
     }
 
-    /** Enqueue a task costing @p cost cycles; @p done runs after. */
+    /**
+     * Enqueue a task costing @p cost cycles; @p done runs after, and
+     * then the worker picks up the next queued task.
+     */
+    template <typename F>
     void
-    submit(Cycles cost, EventFn done)
+    submit(Cycles cost, F &&done)
     {
-        _queue.push_back(Task{cost, std::move(done), _eq.now()});
+        _queue.push_back(Task{cost,
+                              [this, fn = std::forward<F>(done)]() mutable {
+                                  --_busy;
+                                  fn();
+                                  tryDispatch();
+                              },
+                              _eq.now()});
         tryDispatch();
     }
 
@@ -58,11 +69,7 @@ class WorkerPool
             ++_busy;
             _queueWait.sample(
                 static_cast<double>(_eq.now() - task.enqueued));
-            _eq.schedule(task.cost, [this, fn = std::move(task.done)] {
-                --_busy;
-                fn();
-                tryDispatch();
-            });
+            _eq.schedule(task.cost, std::move(task.done));
         }
     }
 

@@ -55,11 +55,10 @@ runCu(std::uint32_t warps, std::uint64_t items, Cycles compute)
     std::vector<std::unique_ptr<CuStream>> streams;
     streams.push_back(
         std::make_unique<ScriptedStream>(items, compute, 7));
-    bool done = false;
-    sys.gpu(0).launch(std::move(streams), [&] { done = true; });
+    sys.gpu(0).launch(std::move(streams));
     sys.eventQueue().run();
-    EXPECT_TRUE(done);
     EXPECT_TRUE(sys.gpu(0).allCusDone());
+    EXPECT_EQ(sys.gpu(0).completedAccesses(), items);
     return sys.gpu(0).finishTick();
 }
 
@@ -68,9 +67,10 @@ TEST(ComputeUnit, DrainsExactlyTheStream)
     MultiGpuSystem sys(cuCfg(2));
     std::vector<std::unique_ptr<CuStream>> streams;
     streams.push_back(std::make_unique<ScriptedStream>(20, 5, 3));
-    sys.gpu(0).launch(std::move(streams), EventFn{});
+    sys.gpu(0).launch(std::move(streams));
     sys.eventQueue().run();
     EXPECT_EQ(sys.gpu(0).stats().accesses.value(), 20u);
+    EXPECT_EQ(sys.gpu(0).completedAccesses(), 20u);
     // instructions = sum(computeCycles + 1) = 20 * 6.
     EXPECT_EQ(sys.gpu(0).stats().instructions.value(), 120u);
 }
@@ -80,9 +80,10 @@ TEST(ComputeUnit, EmptyStreamCompletesImmediately)
     MultiGpuSystem sys(cuCfg(4));
     std::vector<std::unique_ptr<CuStream>> streams;
     streams.push_back(std::make_unique<ScriptedStream>(0, 0, 0));
-    bool done = false;
-    sys.gpu(0).launch(std::move(streams), [&] { done = true; });
-    EXPECT_TRUE(done); // all warp contexts retire synchronously
+    sys.gpu(0).launch(std::move(streams));
+    // All warp contexts retire synchronously.
+    EXPECT_TRUE(sys.gpu(0).allCusDone());
+    EXPECT_EQ(sys.gpu(0).finishTick(), 0u);
 }
 
 TEST(ComputeUnit, MoreWarpContextsHideMemoryLatency)
@@ -107,7 +108,7 @@ TEST(ComputeUnitDeath, LaunchValidatesStreamCount)
 {
     MultiGpuSystem sys(cuCfg(2));
     std::vector<std::unique_ptr<CuStream>> streams; // empty: wrong
-    EXPECT_DEATH(sys.gpu(0).launch(std::move(streams), EventFn{}),
+    EXPECT_DEATH(sys.gpu(0).launch(std::move(streams)),
                  "streams");
 }
 

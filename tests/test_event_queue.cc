@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -572,64 +574,65 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomizedChurn)
     }
 }
 
-TEST(InlineEvent, SchedulingSiteSizedCapturesStayInline)
+TEST(InlineFn, SchedulingSiteSizedCapturesStayInline)
 {
     // The shape of the simulator's largest scheduling site (a `this`
     // pointer plus a WalkRequest/WalkResult payload) must fit the
-    // inline buffer; if this fails, enlarge InlineEvent's capacity
-    // rather than silently heap-allocating on the hot path.
+    // inline buffer; if this fails, enlarge EventFn's capacity.
     struct BigCapture
     {
         void *self;
         std::array<std::uint64_t, 20> payload;
     };
-    static_assert(InlineEvent::fitsInline<BigCapture>() ||
-                      sizeof(BigCapture) > InlineEvent::kInlineCapacity,
-                  "fitsInline must key on size");
+    static_assert(EventFn::fitsInline<BigCapture>());
     BigCapture big{nullptr, {}};
     int fired = 0;
-    InlineEvent ev([big, &fired] {
+    EventFn ev([big, &fired] {
         (void)big;
         ++fired;
     });
-    EXPECT_TRUE(ev.inlineStored());
     ev();
     EXPECT_EQ(fired, 1);
 }
 
-TEST(InlineEvent, OversizedCallablesFallBackToHeap)
+TEST(InlineFn, OversizedCallablesDoNotCompile)
 {
+    // There is no heap fallback: binding a callable that does not fit
+    // is a static_assert in emplace(), so this can only be checked at
+    // compile time.
     struct Huge
     {
         std::array<std::uint64_t, 64> payload; // 512 B > capacity
     };
-    Huge huge{};
-    huge.payload[63] = 7;
-    std::uint64_t seen = 0;
-    InlineEvent ev([huge, &seen] { seen = huge.payload[63]; });
-    EXPECT_FALSE(ev.inlineStored());
-    ev();
-    EXPECT_EQ(seen, 7u);
-
-    // Move transfers ownership of the heap slot.
-    InlineEvent moved(std::move(ev));
-    EXPECT_FALSE(moved.inlineStored());
-    seen = 0;
-    moved();
-    EXPECT_EQ(seen, 7u);
+    static_assert(!EventFn::fitsInline<Huge>());
+    // An EventFn is its buffer plus an ops pointer, so no callable
+    // holding one can fit another: wrap before erasing.
+    static_assert(!EventFn::fitsInline<EventFn>());
+    static_assert(EventFn::fitsInline<std::array<std::byte, 192>>());
+    static_assert(!EventFn::fitsInline<std::array<std::byte, 193>>());
 }
 
-TEST(InlineEvent, MoveAndResetManageLifetime)
+TEST(InlineFn, MoveAndResetManageLifetime)
 {
     int fired = 0;
-    InlineEvent a([&fired] { ++fired; });
+    EventFn a([&fired] { ++fired; });
     EXPECT_TRUE(static_cast<bool>(a));
-    InlineEvent b(std::move(a));
+    EventFn b(std::move(a));
     EXPECT_FALSE(static_cast<bool>(a));
     b();
     EXPECT_EQ(fired, 1);
     b.reset();
     EXPECT_FALSE(static_cast<bool>(b));
+
+    // Destroying a bound callable destroys its captures exactly once.
+    auto token = std::make_shared<int>(0);
+    {
+        EventFn holder([token] { (void)token; });
+        EXPECT_EQ(token.use_count(), 2);
+        EventFn moved(std::move(holder));
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace

@@ -25,7 +25,7 @@ TEST(FailurePaths, GpuOutOfMemoryIsFatal)
     EXPECT_DEATH(
         {
             for (Vpn vpn = 0; vpn < 16; ++vpn)
-                sys.gpu(0).access(0, vpn << 12, false, [] {});
+                sys.gpu(0).access(0, vpn << 12, false);
             sys.eventQueue().run();
         },
         "out of memory");

@@ -34,18 +34,17 @@ TEST(GpuPipeline, FirstAccessFaultsThenHitsTlb)
     MultiGpuSystem sys(tinyConfig());
     Gpu &gpu = sys.gpu(0);
 
-    int done = 0;
-    gpu.access(0, vaOf(100), false, [&] { ++done; });
+    gpu.access(0, vaOf(100), false);
     sys.eventQueue().run();
-    EXPECT_EQ(done, 1);
+    EXPECT_EQ(gpu.completedAccesses(), 1u);
     EXPECT_EQ(gpu.stats().farFaultsRaised.value(), 1u);
     ASSERT_NE(gpu.localPageTable().findValid(100), nullptr);
 
     // Second access: L1 TLB hit, no further faults or walks.
     const Tick before = sys.eventQueue().now();
-    gpu.access(0, vaOf(100), false, [&] { ++done; });
+    gpu.access(0, vaOf(100), false);
     sys.eventQueue().run();
-    EXPECT_EQ(done, 2);
+    EXPECT_EQ(gpu.completedAccesses(), 2u);
     EXPECT_EQ(gpu.stats().farFaultsRaised.value(), 1u);
     // 1 cycle L1 probe + 200 local DRAM.
     EXPECT_EQ(sys.eventQueue().now() - before,
@@ -56,11 +55,10 @@ TEST(GpuPipeline, ConcurrentMissesMergeInMshr)
 {
     MultiGpuSystem sys(tinyConfig());
     Gpu &gpu = sys.gpu(0);
-    int done = 0;
     for (int i = 0; i < 4; ++i)
-        gpu.access(i % 2, vaOf(55), false, [&] { ++done; });
+        gpu.access(i % 2, vaOf(55), false);
     sys.eventQueue().run();
-    EXPECT_EQ(done, 4);
+    EXPECT_EQ(gpu.completedAccesses(), 4u);
     // One primary miss -> one far fault, regardless of waiters.
     EXPECT_EQ(gpu.stats().farFaultsRaised.value(), 1u);
 }
@@ -69,7 +67,7 @@ TEST(GpuPipeline, DemandMissLatencyIsRecorded)
 {
     MultiGpuSystem sys(tinyConfig());
     Gpu &gpu = sys.gpu(0);
-    gpu.access(0, vaOf(7), false, [] {});
+    gpu.access(0, vaOf(7), false);
     sys.eventQueue().run();
     EXPECT_EQ(gpu.stats().demandTlbMisses.value(), 1u);
     EXPECT_GT(gpu.stats().demandTlbMissLatency.mean(), 0.0);
@@ -79,10 +77,10 @@ TEST(GpuPipeline, RemoteAccessGoesOverTheNetwork)
 {
     MultiGpuSystem sys(tinyConfig());
     // GPU 0 touches first -> page lives on GPU 0.
-    sys.gpu(0).access(0, vaOf(9), false, [] {});
+    sys.gpu(0).access(0, vaOf(9), false);
     sys.eventQueue().run();
     // GPU 1 faults, gets a remote mapping, reads remotely.
-    sys.gpu(1).access(0, vaOf(9), false, [] {});
+    sys.gpu(1).access(0, vaOf(9), false);
     sys.eventQueue().run();
     EXPECT_EQ(sys.gpu(1).stats().remoteAccesses.value(), 1u);
     EXPECT_EQ(sys.gpu(1).stats().localAccesses.value(), 0u);
@@ -96,7 +94,7 @@ TEST(GpuPipeline, InvalidationShootsDownTlbAndPte)
     SystemConfig cfg = tinyConfig();
     MultiGpuSystem sys(cfg);
     Gpu &gpu = sys.gpu(0);
-    gpu.access(0, vaOf(33), false, [] {});
+    gpu.access(0, vaOf(33), false);
     sys.eventQueue().run();
     ASSERT_TRUE(gpu.hasValidMapping(33));
 
@@ -116,7 +114,7 @@ TEST(GpuPipeline, LazyInvalidationBuffersInIrmb)
     cfg.invalApply = InvalApply::Lazy;
     MultiGpuSystem sys(cfg);
     Gpu &gpu = sys.gpu(0);
-    gpu.access(0, vaOf(44), false, [] {});
+    gpu.access(0, vaOf(44), false);
     sys.eventQueue().run();
 
     gpu.receiveInvalidation(44, 1);
@@ -138,17 +136,16 @@ TEST(GpuPipeline, IrmbHitBypassesTheLocalWalk)
     cfg.invalApply = InvalApply::Lazy;
     MultiGpuSystem sys(cfg);
     Gpu &gpu = sys.gpu(0);
-    gpu.access(0, vaOf(21), false, [] {});
+    gpu.access(0, vaOf(21), false);
     sys.eventQueue().run();
     const auto walks_before = gpu.gmmu().stats().demandWalks.value();
 
     gpu.receiveInvalidation(21, 1);
     // Immediately re-access: the IRMB still holds the invalidation
     // (no idle time elapsed yet), so the walk must be bypassed.
-    int done = 0;
-    gpu.access(0, vaOf(21), false, [&] { ++done; });
+    gpu.access(0, vaOf(21), false);
     sys.eventQueue().run();
-    EXPECT_EQ(done, 1);
+    EXPECT_EQ(gpu.completedAccesses(), 2u);
     EXPECT_GE(gpu.stats().irmbBypassedWalks.value() +
                   gpu.irmb()->stats().elided.value(),
               1u);
@@ -163,7 +160,7 @@ TEST(GpuPipeline, ZeroLatencyInvalidationIsInstant)
     cfg.invalApply = InvalApply::ZeroLatency;
     MultiGpuSystem sys(cfg);
     Gpu &gpu = sys.gpu(0);
-    gpu.access(0, vaOf(70), false, [] {});
+    gpu.access(0, vaOf(70), false);
     sys.eventQueue().run();
 
     const auto inval_walks = gpu.gmmu().stats().invalWalks.value();
@@ -179,12 +176,12 @@ TEST(GpuPipeline, AccessCounterTriggersMigration)
     cfg.accessCounterThreshold = 4;
     MultiGpuSystem sys(cfg);
     // Page homes on GPU 0.
-    sys.gpu(0).access(0, vaOf(5), false, [] {});
+    sys.gpu(0).access(0, vaOf(5), false);
     sys.eventQueue().run();
 
     // GPU 1 hammers it remotely until the counter saturates.
     for (int i = 0; i < 8; ++i) {
-        sys.gpu(1).access(0, vaOf(5), false, [] {});
+        sys.gpu(1).access(0, vaOf(5), false);
         sys.eventQueue().run();
     }
     EXPECT_EQ(sys.gpu(1).stats().migRequestsSent.value(), 1u);
@@ -196,7 +193,7 @@ TEST(GpuPipeline, AccessCounterTriggersMigration)
 
     // And further GPU 1 accesses are local.
     const auto remote_before = sys.gpu(1).stats().remoteAccesses.value();
-    sys.gpu(1).access(0, vaOf(5), false, [] {});
+    sys.gpu(1).access(0, vaOf(5), false);
     sys.eventQueue().run();
     EXPECT_EQ(sys.gpu(1).stats().remoteAccesses.value(), remote_before);
     EXPECT_GT(sys.gpu(1).stats().localAccesses.value(), 0u);
@@ -206,7 +203,7 @@ TEST(GpuPipeline, DuplicateRoundIsIgnoredAndReackedOnceApplied)
 {
     MultiGpuSystem sys(tinyConfig());
     Gpu &gpu = sys.gpu(0);
-    gpu.access(0, vaOf(33), false, [] {});
+    gpu.access(0, vaOf(33), false);
     sys.eventQueue().run();
     const Pte *pte = gpu.localPageTable().findValid(33);
     ASSERT_NE(pte, nullptr);
@@ -246,7 +243,7 @@ TEST(GpuPipeline, AccessCounterRestartsOnRemapAndReArms)
     MultiGpuSystem sys(cfg);
     auto reads = [&](GpuId g, int n) {
         for (int i = 0; i < n; ++i) {
-            sys.gpu(g).access(0, vaOf(5), false, [] {});
+            sys.gpu(g).access(0, vaOf(5), false);
             sys.eventQueue().run();
         }
     };
@@ -288,7 +285,7 @@ TEST(GpuPipeline, InvalidationRestartsTheAccessCounter)
     MultiGpuSystem sys(cfg);
     auto reads = [&](GpuId g, int n) {
         for (int i = 0; i < n; ++i) {
-            sys.gpu(g).access(0, vaOf(5), false, [] {});
+            sys.gpu(g).access(0, vaOf(5), false);
             sys.eventQueue().run();
         }
     };
@@ -308,11 +305,11 @@ TEST(GpuPipeline, TransFwForwardsFromPeer)
     cfg.transFw.enabled = true;
     MultiGpuSystem sys(cfg);
     // GPU 0 establishes the mapping; peers learn the fingerprint.
-    sys.gpu(0).access(0, vaOf(12), false, [] {});
+    sys.gpu(0).access(0, vaOf(12), false);
     sys.eventQueue().run();
 
     const auto host_faults = sys.driver().stats().farFaults.value();
-    sys.gpu(1).access(0, vaOf(12), false, [] {});
+    sys.gpu(1).access(0, vaOf(12), false);
     sys.eventQueue().run();
     EXPECT_EQ(sys.gpu(1).stats().transFwForwarded.value(), 1u);
     // The host never saw GPU 1's fault.

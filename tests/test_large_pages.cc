@@ -39,12 +39,12 @@ TEST(LargePages, TranslationAndMigrationWork)
     MultiGpuSystem sys(cfg);
     const VAddr va = 5ull << 21;
 
-    sys.gpu(0).access(0, va, false, [] {});
+    sys.gpu(0).access(0, va, false);
     sys.eventQueue().run();
     EXPECT_EQ(sys.driver().residentPages(0), 1u);
 
     for (int i = 0; i < 8; ++i) {
-        sys.gpu(1).access(0, va + 64 * i, false, [] {});
+        sys.gpu(1).access(0, va + 64 * i, false);
         sys.eventQueue().run();
     }
     EXPECT_EQ(sys.driver().stats().migrations.value(), 1u);

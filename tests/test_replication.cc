@@ -34,9 +34,9 @@ vaOf(Vpn vpn)
 TEST(Replication, ReadFaultCreatesLocalReplica)
 {
     MultiGpuSystem sys(replCfg());
-    sys.gpu(0).access(0, vaOf(10), false, [] {});
+    sys.gpu(0).access(0, vaOf(10), false);
     sys.eventQueue().run();
-    sys.gpu(1).access(0, vaOf(10), false, [] {});
+    sys.gpu(1).access(0, vaOf(10), false);
     sys.eventQueue().run();
 
     EXPECT_EQ(sys.driver().stats().replications.value(), 1u);
@@ -48,7 +48,7 @@ TEST(Replication, ReadFaultCreatesLocalReplica)
     EXPECT_FALSE(pte->writable());
 
     const auto locals = sys.gpu(1).stats().localAccesses.value();
-    sys.gpu(1).access(0, vaOf(10), false, [] {});
+    sys.gpu(1).access(0, vaOf(10), false);
     sys.eventQueue().run();
     EXPECT_EQ(sys.gpu(1).stats().localAccesses.value(), locals + 1);
     EXPECT_EQ(sys.gpu(1).stats().remoteAccesses.value(), 0u);
@@ -58,19 +58,19 @@ TEST(Replication, WriteCollapsesReplicas)
 {
     MultiGpuSystem sys(replCfg());
     // Home on GPU 0; replicas on GPUs 1 and 2.
-    sys.gpu(0).access(0, vaOf(20), false, [] {});
+    sys.gpu(0).access(0, vaOf(20), false);
     sys.eventQueue().run();
-    sys.gpu(1).access(0, vaOf(20), false, [] {});
+    sys.gpu(1).access(0, vaOf(20), false);
     sys.eventQueue().run();
-    sys.gpu(2).access(0, vaOf(20), false, [] {});
+    sys.gpu(2).access(0, vaOf(20), false);
     sys.eventQueue().run();
     ASSERT_EQ(sys.driver().stats().replications.value(), 2u);
 
     // GPU 2 writes: all replicas collapse onto GPU 2.
-    int done = 0;
-    sys.gpu(2).access(0, vaOf(20), true, [&] { ++done; });
+    const auto completed = sys.gpu(2).completedAccesses();
+    sys.gpu(2).access(0, vaOf(20), true);
     sys.eventQueue().run();
-    EXPECT_EQ(done, 1);
+    EXPECT_EQ(sys.gpu(2).completedAccesses(), completed + 1);
     EXPECT_EQ(sys.driver().stats().collapses.value(), 1u);
 
     // Exactly one frame remains, on the writer, writable.
@@ -88,18 +88,18 @@ TEST(Replication, WriteCollapsesReplicas)
 TEST(Replication, WriterWithReadReplicaUpgradesViaCollapse)
 {
     MultiGpuSystem sys(replCfg());
-    sys.gpu(0).access(0, vaOf(30), false, [] {});
+    sys.gpu(0).access(0, vaOf(30), false);
     sys.eventQueue().run();
-    sys.gpu(1).access(0, vaOf(30), false, [] {});
+    sys.gpu(1).access(0, vaOf(30), false);
     sys.eventQueue().run();
 
     // GPU 1 holds a read-only replica and now writes to the page: the
     // write-permission fault must trigger a collapse, not data
     // corruption through the read-only translation.
-    int done = 0;
-    sys.gpu(1).access(0, vaOf(30), true, [&] { ++done; });
+    const auto completed = sys.gpu(1).completedAccesses();
+    sys.gpu(1).access(0, vaOf(30), true);
     sys.eventQueue().run();
-    EXPECT_EQ(done, 1);
+    EXPECT_EQ(sys.gpu(1).completedAccesses(), completed + 1);
     EXPECT_GT(sys.gpu(1).stats().writePermissionFaults.value(), 0u);
     const Pte *pte = sys.gpu(1).localPageTable().findValid(30);
     ASSERT_NE(pte, nullptr);
@@ -111,11 +111,11 @@ TEST(Replication, WriterWithReadReplicaUpgradesViaCollapse)
 TEST(Replication, WriteToUnreplicatedRemotePageStaysRemote)
 {
     MultiGpuSystem sys(replCfg());
-    sys.gpu(0).access(0, vaOf(40), false, [] {});
+    sys.gpu(0).access(0, vaOf(40), false);
     sys.eventQueue().run();
     // GPU 1's first touch is a WRITE: no replica exists, so it gets a
     // writable remote mapping instead of a collapse.
-    sys.gpu(1).access(0, vaOf(40), true, [] {});
+    sys.gpu(1).access(0, vaOf(40), true);
     sys.eventQueue().run();
     EXPECT_EQ(sys.driver().stats().collapses.value(), 0u);
     EXPECT_EQ(sys.driver().stats().remoteMappings.value(), 1u);
