@@ -21,10 +21,11 @@
 
 #include <fstream>
 #include <iomanip>
+#include <iostream>
 #include <limits>
 #include <sstream>
 
-#include "bench_common.hh"
+#include "harness/runner.hh"
 
 int
 main(int argc, char **argv)
@@ -38,10 +39,10 @@ main(int argc, char **argv)
             out = argv[++i];
     }
 
-    bench::banner("Shard scaling",
-                  "event-core shards on a 32-GPU fabric (KM smoke)",
-                  "sharded runs bit-identical to serial; events/sec "
-                  "scales with shards on multi-core hosts");
+    std::cout << "Shard scaling: event-core shards on a 32-GPU fabric "
+                 "(KM smoke)\n"
+              << "expectation: sharded runs bit-identical to serial; "
+                 "events/sec scales with shards on multi-core hosts\n";
 
     const double scale = benchScale();
     const double work = scale * 4.0 / 32.0; // fig18 sizing at 32 GPUs

@@ -216,13 +216,4 @@ Irmb::liveEntries() const
     return live;
 }
 
-std::uint64_t
-Irmb::sizeBytes() const
-{
-    // 36-bit base + offsetsPerBase x 9-bit offsets, per merged entry.
-    // Round up: a non-byte-aligned total still occupies the next byte.
-    const std::uint64_t bits_per_entry = 36 + 9ull * _cfg.offsetsPerBase;
-    return (bits_per_entry * _cfg.bases + 7) / 8;
-}
-
 } // namespace idyll

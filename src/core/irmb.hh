@@ -101,12 +101,8 @@ class Irmb
     /** Number of live merged entries. */
     std::size_t liveEntries() const;
 
-    /**
-     * Hardware cost in bytes: ceil((baseBits + offsets*9) * entries
-     * / 8). Rounded up so non-byte-aligned geometries (fig15/fig19
-     * sweeps) are not under-costed.
-     */
-    std::uint64_t sizeBytes() const;
+    /** Hardware cost in bytes (see IrmbConfig::sizeBytes). */
+    std::uint64_t sizeBytes() const { return _cfg.sizeBytes(); }
 
     const IrmbStats &stats() const { return _stats; }
 

@@ -1,6 +1,9 @@
 #include "harness/cli.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -100,17 +103,16 @@ cliUsage()
            "shards x jobs fits the machine's hardware threads\n";
 }
 
-namespace
-{
-
 bool
 parseUnsigned(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
+    // strtoull skips blanks and negates a leading '-': demand a digit.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         return false;
     char *end = nullptr;
+    errno = 0;
     out = std::strtoull(text.c_str(), &end, 10);
-    return end && *end == '\0';
+    return errno == 0 && *end == '\0';
 }
 
 bool
@@ -120,10 +122,8 @@ parseDouble(const std::string &text, double &out)
         return false;
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
+    return *end == '\0' && std::isfinite(out);
 }
-
-} // namespace
 
 CliParse
 parseCli(const std::vector<std::string> &args)

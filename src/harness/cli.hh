@@ -140,6 +140,15 @@ std::string cliUsage();
 unsigned clampJobsForShards(unsigned jobs, std::uint32_t shards,
                             unsigned hw, bool *warned = nullptr);
 
+/**
+ * Parse a base-10 unsigned integer. Rejects empty text, a sign,
+ * leading blanks, trailing characters and out-of-range values.
+ */
+bool parseUnsigned(const std::string &text, std::uint64_t &out);
+
+/** Parse a finite number; rejects empty text and trailing characters. */
+bool parseDouble(const std::string &text, double &out);
+
 /** Resolve a scheme name to a configuration (empty optional = bad). */
 std::optional<SystemConfig> schemeByName(const std::string &name);
 

@@ -31,7 +31,7 @@ ParallelRunner::ParallelRunner(unsigned jobs) : _jobs(resolveJobs(jobs))
 std::vector<std::vector<SimResults>>
 ParallelRunner::runGrid(const std::vector<std::string> &apps,
                         const std::vector<SchemePoint> &schemes,
-                        double scale) const
+                        double scale, const AppTransform &transform) const
 {
     std::vector<std::vector<SimResults>> out(
         schemes.size(), std::vector<SimResults>(apps.size()));
@@ -42,7 +42,11 @@ ParallelRunner::runGrid(const std::vector<std::string> &apps,
     auto runCell = [&](std::size_t task) {
         const std::size_t s = task / apps.size();
         const std::size_t a = task % apps.size();
-        SimResults r = runOnce(apps[a], schemes[s].cfg, scale);
+        Workload workload =
+            Workload::byName(apps[a], scale * schemes[s].work);
+        if (transform)
+            workload = Workload{transform(workload.params())};
+        SimResults r = runOnce(workload, schemes[s].cfg);
         r.scheme = schemes[s].label;
         out[s][a] = std::move(r);
     };

@@ -49,13 +49,15 @@ class ParallelRunner
     unsigned jobs() const { return _jobs; }
 
     /**
-     * Run every app under every scheme.
+     * Run every app under every scheme. Each cell runs at
+     * @p scale times its point's work factor, on the app's inputs
+     * reshaped by @p transform when one is given.
      * Results are indexed [scheme][app] in the given orders.
      */
     std::vector<std::vector<SimResults>>
     runGrid(const std::vector<std::string> &apps,
-            const std::vector<SchemePoint> &schemes,
-            double scale = 1.0) const;
+            const std::vector<SchemePoint> &schemes, double scale = 1.0,
+            const AppTransform &transform = {}) const;
 
   private:
     unsigned _jobs;

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "harness/parallel.hh"
 #include "harness/system.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
@@ -22,14 +21,6 @@ runOnce(const Workload &workload, const SystemConfig &cfg)
 {
     MultiGpuSystem system(cfg);
     return system.run(workload);
-}
-
-std::vector<std::vector<SimResults>>
-runSuite(const std::vector<std::string> &apps,
-         const std::vector<SchemePoint> &schemes, double scale,
-         unsigned jobs)
-{
-    return ParallelRunner(jobs).runGrid(apps, schemes, scale);
 }
 
 SystemConfig

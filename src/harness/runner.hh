@@ -1,13 +1,14 @@
 /**
  * @file
  * Experiment runner: one-call helpers that build a fresh system per
- * (app, config) pair — shared by every bench binary and the
- * integration tests.
+ * (app, config) pair — shared by the sweep driver, the examples and
+ * the integration tests.
  */
 
 #ifndef IDYLL_HARNESS_RUNNER_HH
 #define IDYLL_HARNESS_RUNNER_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,22 +31,21 @@ struct SchemePoint
 {
     std::string label;
     SystemConfig cfg;
+    /**
+     * Per-CU work multiplier applied on top of the sweep's scale, e.g.
+     * 4 / gpus so a GPU-count sweep keeps total work bounded.
+     */
+    double work = 1.0;
 };
 
 /**
- * Run every app under every scheme, fanning the grid out across a
- * worker pool (see harness/parallel.hh). @p jobs 0 = auto (the
- * IDYLL_JOBS environment variable, then hardware concurrency);
- * @p jobs 1 forces a serial run. Output is bit-identical for every
- * job count. Results are indexed [scheme][app] in the given orders.
+ * Reshapes an app's parameters before a sweep runs it (Fig. 21's
+ * enlarged 2 MB-page inputs). An empty transform leaves apps as-is.
  */
-std::vector<std::vector<SimResults>>
-runSuite(const std::vector<std::string> &apps,
-         const std::vector<SchemePoint> &schemes, double scale = 1.0,
-         unsigned jobs = 0);
+using AppTransform = std::function<AppParams(AppParams)>;
 
 /**
- * Default workload scale for the bench binaries. Override with the
+ * Default workload scale for sweeps. Override with the
  * IDYLL_BENCH_SCALE environment variable to trade runtime for
  * statistical weight.
  */

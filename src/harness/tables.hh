@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width result tables for the benchmark harness, so every bench
- * binary prints rows in the same layout as the paper's figures.
+ * Fixed-width result tables, so every sweep prints its rows in the
+ * same layout as the paper's figures.
  */
 
 #ifndef IDYLL_HARNESS_TABLES_HH
@@ -55,8 +55,9 @@ std::string jsonEscape(const std::string &text);
  *   {"suite": ..., "scale": ..., "apps": [...], "schemes": [...],
  *    "results": [{...}, ...]}
  *
- * "results" is flattened scheme-major (the runSuite order); each
- * element is SimResults::toJson. See README.md for the schema.
+ * "results" is flattened scheme-major (the ParallelRunner::runGrid
+ * order); each element is SimResults::toJson. See README.md for the
+ * schema.
  */
 void writeSuiteJson(std::ostream &os, const std::string &suite,
                     double scale,

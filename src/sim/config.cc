@@ -222,7 +222,14 @@ SystemConfig::describe() const
        << interGpuLink.bandwidthBytesPerCycle << " B/cy, "
        << interGpuLink.latency << "-cycle\n"
        << "CPU-GPU link             " << hostLink.bandwidthBytesPerCycle
-       << " B/cy, " << hostLink.latency << "-cycle\n";
+       << " B/cy, " << hostLink.latency << "-cycle\n"
+       << "IRMB                     " << irmb.bases << " merged entries x "
+       << irmb.offsetsPerBase << " offsets = " << irmb.sizeBytes()
+       << " bytes\n"
+       << "In-PTE directory bits    " << directoryBits
+       << " (PTE bits 62..52)\n"
+       << "VM-Cache                 " << vmCache.entries << " entries, "
+       << vmCache.ways << "-way\n";
     return os.str();
 }
 

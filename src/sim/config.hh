@@ -69,6 +69,8 @@ struct TlbConfig
 
     /** Dead-entry-aware eviction (reuse-predicted LIP insertion). */
     bool deadEntryEviction = false;
+
+    bool operator==(const TlbConfig &) const = default;
 };
 
 /** Geometry of one per-level MMU cache (split PSCL-style). */
@@ -76,6 +78,8 @@ struct MmuCacheLevelConfig
 {
     std::uint32_t entries = 0;
     std::uint32_t ways = 0;
+
+    bool operator==(const MmuCacheLevelConfig &) const = default;
 };
 
 /** GMMU: page-walk queue, walker threads, per-level MMU caches. */
@@ -109,6 +113,8 @@ struct GmmuConfig
 
     Cycles perLevelLatency = 100;   ///< memory access per PT level
     Cycles pwcLookupLatency = 1;    ///< MMU-cache hierarchy probe
+
+    bool operator==(const GmmuConfig &) const = default;
 };
 
 /** IRMB geometry (Section 6.3). */
@@ -131,6 +137,18 @@ struct IrmbConfig
      * only on capacity evictions.
      */
     bool idleDrain = true;
+
+    /**
+     * Hardware cost in bytes: ceil((36-bit base + offsets x 9 bits) x
+     * entries / 8), rounded up so odd geometries are not under-costed.
+     */
+    std::uint64_t
+    sizeBytes() const
+    {
+        return ((36 + 9ull * offsetsPerBase) * bases + 7) / 8;
+    }
+
+    bool operator==(const IrmbConfig &) const = default;
 };
 
 /** VM-Cache geometry for IDYLL-InMem (Section 6.4). */
@@ -140,6 +158,8 @@ struct VmCacheConfig
     std::uint32_t ways = 4;
     Cycles lookupLatency = 2;
     Cycles vmTableAccessLatency = 120; ///< host DRAM access on miss
+
+    bool operator==(const VmCacheConfig &) const = default;
 };
 
 /** Trans-FW comparator (Section 7.5), scaled to 720 B / 443 entries. */
@@ -148,6 +168,8 @@ struct TransFwConfig
     bool enabled = false;
     std::uint32_t fingerprints = 443;
     Cycles remoteLookupLatency = 50; ///< PRT probe on the remote GPU
+
+    bool operator==(const TransFwConfig &) const = default;
 };
 
 /** A point-to-point link: fixed latency plus serialization by rate. */
@@ -155,6 +177,8 @@ struct LinkConfig
 {
     double bandwidthBytesPerCycle = 300.0; ///< 300 GB/s @ 1 GHz
     Cycles latency = 500;                  ///< one-way propagation
+
+    bool operator==(const LinkConfig &) const = default;
 };
 
 /**
@@ -206,6 +230,8 @@ struct IntegrityConfig
      * minimize) in a deterministic test. Never set in real runs.
      */
     std::int32_t suppressInvalGpuForTest = -1;
+
+    bool operator==(const IntegrityConfig &) const = default;
 };
 
 /**
@@ -238,6 +264,8 @@ struct TraceConfig
 
     /** When nonempty, stream JSONL events to this file (single runs only). */
     std::string jsonlPath;
+
+    bool operator==(const TraceConfig &) const = default;
 };
 
 /**
@@ -249,6 +277,8 @@ struct LatencyConfig
 {
     /** Run the per-request latency scoreboard. */
     bool enabled = false;
+
+    bool operator==(const LatencyConfig &) const = default;
 };
 
 /**
@@ -265,6 +295,8 @@ struct SamplerConfig
 
     /** When nonempty, write the sample JSON to this file after a run. */
     std::string jsonPath;
+
+    bool operator==(const SamplerConfig &) const = default;
 };
 
 /** Full system configuration. Defaults reproduce Table 2. */
@@ -368,6 +400,9 @@ struct SystemConfig
     static SystemConfig idyllFull();
     static SystemConfig idyllInMem();
     static SystemConfig zeroLatencyInval();
+
+    /** Field-wise equality (sweep-registry contract tests). */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 } // namespace idyll

@@ -90,6 +90,44 @@ TEST(Cli, FlagsAndErrors)
     EXPECT_FALSE(parseCli({"--scale", "-1"}).ok());
 }
 
+TEST(Cli, RejectsSignedNumbers)
+{
+    // strtoull negates a leading '-': "-1" used to wrap to 2^64 - 1.
+    EXPECT_FALSE(parseCli({"--shards", "-1"}).ok());
+    EXPECT_FALSE(parseCli({"--dir-bits", "-5"}).ok());
+    EXPECT_FALSE(parseCli({"--jobs", "-1"}).ok());
+    EXPECT_FALSE(parseCli({"--gpus", "+4"}).ok());
+    EXPECT_FALSE(parseCli({"--seed", " 7"}).ok());
+    EXPECT_FALSE(parseCli({"--scale", "nan"}).ok());
+    EXPECT_FALSE(parseCli({"--scale", "inf"}).ok());
+    EXPECT_EQ(mustParse({"--dir-bits", "5"}).config.directoryBits, 5u);
+}
+
+TEST(Cli, NumberParsers)
+{
+    std::uint64_t n = 0;
+    EXPECT_TRUE(parseUnsigned("42", n));
+    EXPECT_EQ(n, 42u);
+    EXPECT_TRUE(parseUnsigned("0", n));
+    EXPECT_EQ(n, 0u);
+    EXPECT_FALSE(parseUnsigned("", n));
+    EXPECT_FALSE(parseUnsigned("-1", n));
+    EXPECT_FALSE(parseUnsigned("+1", n));
+    EXPECT_FALSE(parseUnsigned(" 1", n));
+    EXPECT_FALSE(parseUnsigned("1x", n));
+    EXPECT_FALSE(parseUnsigned("abc", n));
+    EXPECT_FALSE(parseUnsigned("18446744073709551616", n)); // 2^64
+
+    double d = 0.0;
+    EXPECT_TRUE(parseDouble("0.05", d));
+    EXPECT_DOUBLE_EQ(d, 0.05);
+    EXPECT_TRUE(parseDouble("-1", d)); // the caller checks the sign
+    EXPECT_FALSE(parseDouble("", d));
+    EXPECT_FALSE(parseDouble("0.5x", d));
+    EXPECT_FALSE(parseDouble("nan", d));
+    EXPECT_FALSE(parseDouble("inf", d));
+}
+
 TEST(Cli, JobsFlag)
 {
     EXPECT_EQ(mustParse({}).jobs, 0u); // 0 = auto (resolveJobs)

@@ -85,6 +85,12 @@ TEST(Config, DescribeMentionsKeyParameters)
     EXPECT_NE(text.find("512 entries"), std::string::npos);
     EXPECT_NE(text.find("Access counter threshold 256"),
               std::string::npos);
+    // Table 2's IDYLL structures.
+    EXPECT_NE(text.find("32 merged entries x 16 offsets = 720 bytes"),
+              std::string::npos);
+    EXPECT_NE(text.find("In-PTE directory bits    11"), std::string::npos);
+    EXPECT_NE(text.find("VM-Cache                 64 entries, 4-way"),
+              std::string::npos);
 }
 
 /** validate() must raise ConfigError mentioning the bad field. */

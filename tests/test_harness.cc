@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
 #include "harness/tables.hh"
@@ -74,7 +75,8 @@ TEST(Runner, RunSuiteShapesResults)
     SystemConfig cfg = scaledForSim(SystemConfig::baseline());
     cfg.cusPerGpu = 4;
     cfg.warpsPerCu = 2;
-    auto results = runSuite({"BS", "SC"}, {{"base", cfg}}, 0.02);
+    auto results =
+        ParallelRunner().runGrid({"BS", "SC"}, {{"base", cfg}}, 0.02);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_EQ(results[0].size(), 2u);
     EXPECT_EQ(results[0][0].app, "BS");

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
 #include "sim/event_queue.hh"
@@ -379,8 +380,8 @@ TEST(LatencyRun, SerialAndParallelSweepsProduceIdenticalOutput)
         {"baseline", smallAttributed(SystemConfig::baseline())},
         {"idyll", smallAttributed(SystemConfig::idyllFull())},
     };
-    const auto serial = runSuite(apps, schemes, 0.25, 1);
-    const auto parallel = runSuite(apps, schemes, 0.25, 4);
+    const auto serial = ParallelRunner(1).runGrid(apps, schemes, 0.25);
+    const auto parallel = ParallelRunner(4).runGrid(apps, schemes, 0.25);
     for (std::size_t s = 0; s < schemes.size(); ++s) {
         EXPECT_EQ(serial[s][0].latDemandCycles,
                   parallel[s][0].latDemandCycles);

@@ -96,8 +96,8 @@ TEST(ParallelRunner, ParallelOutputBitIdenticalToSerial)
     const std::vector<std::string> apps = {"BS", "SC"};
     const auto schemes = tinySchemes();
 
-    const auto serial = runSuite(apps, schemes, 0.02, /*jobs=*/1);
-    const auto parallel = runSuite(apps, schemes, 0.02, /*jobs=*/4);
+    const auto serial = ParallelRunner(1).runGrid(apps, schemes, 0.02);
+    const auto parallel = ParallelRunner(4).runGrid(apps, schemes, 0.02);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t s = 0; s < serial.size(); ++s) {
@@ -115,8 +115,8 @@ TEST(ParallelRunner, ParallelRunsAreReproducible)
 {
     const std::vector<std::string> apps = {"KM"};
     const auto schemes = tinySchemes();
-    const auto first = runSuite(apps, schemes, 0.02, 3);
-    const auto second = runSuite(apps, schemes, 0.02, 3);
+    const auto first = ParallelRunner(3).runGrid(apps, schemes, 0.02);
+    const auto second = ParallelRunner(3).runGrid(apps, schemes, 0.02);
     for (std::size_t s = 0; s < first.size(); ++s)
         EXPECT_EQ(first[s][0].toJson(), second[s][0].toJson());
 }

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
 #include "sim/trace.hh"
@@ -187,8 +188,8 @@ TEST(TraceDigest, IdenticalForSerialAndParallelSuiteRuns)
     schemes.push_back({"idyll",
                        smallTraced(SystemConfig::idyllFull(), "all")});
 
-    const auto serial = runSuite(apps, schemes, 0.1, 1);
-    const auto parallel = runSuite(apps, schemes, 0.1, 8);
+    const auto serial = ParallelRunner(1).runGrid(apps, schemes, 0.1);
+    const auto parallel = ParallelRunner(8).runGrid(apps, schemes, 0.1);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t s = 0; s < serial.size(); ++s) {

@@ -22,6 +22,23 @@
 namespace
 {
 
+const char *
+patternName(idyll::SharePattern p)
+{
+    using idyll::SharePattern;
+    switch (p) {
+      case SharePattern::Adjacent:
+        return "Adjacent";
+      case SharePattern::Random:
+        return "Random";
+      case SharePattern::ScatterGather:
+        return "Scatter-Gather";
+      case SharePattern::DnnPipeline:
+        return "DNN-Pipeline";
+    }
+    return "?";
+}
+
 void
 printServeReport(const idyll::ServeReport &r)
 {
@@ -190,13 +207,19 @@ main(int argc, char **argv)
         return 0;
     }
     if (opts.listApps) {
-        std::cout << "applications (Table 3):";
-        for (const auto &app : Workload::appNames())
-            std::cout << " " << app;
-        std::cout << "\nDNN models:";
-        for (const auto &model : Workload::dnnNames())
-            std::cout << " " << model;
-        std::cout << "\n";
+        // Name and inter-GPU sharing pattern, one workload a line.
+        auto list = [](const char *heading,
+                       const std::vector<std::string> &names) {
+            std::cout << heading << ":\n";
+            for (const std::string &name : names) {
+                std::cout << "  " << std::left << std::setw(10) << name
+                          << patternName(
+                                 Workload::byName(name).params().pattern)
+                          << "\n";
+            }
+        };
+        list("applications (Table 3)", Workload::appNames());
+        list("DNN models", Workload::dnnNames());
         return 0;
     }
 

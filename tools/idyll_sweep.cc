@@ -1,8 +1,9 @@
 /**
  * @file
- * idyll_sweep — the unified sweep driver: run any named figure's
- * (app x scheme) grid on the parallel runner and write
- * results/<figure>.json in the schema README.md documents.
+ * idyll_sweep — the experiment driver: run any registered figure,
+ * table or ablation (harness/sweeps.hh) on the parallel runner, write
+ * results/<figure>.json in the schema README.md documents and print
+ * the figure's table.
  *
  *   idyll_sweep --figure fig11 --jobs 4
  *   idyll_sweep --figure all --out results --scale 0.05
@@ -15,9 +16,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "harness/serve.hh"
@@ -72,7 +75,7 @@ main(int argc, char **argv)
             for (const SweepSpec &spec : allSweeps()) {
                 std::cout << spec.name << ": " << spec.description
                           << " (" << spec.apps.size() << " apps x "
-                          << spec.schemes.size() << " schemes)\n";
+                          << spec.points.size() << " points)\n";
             }
             for (const ServeSpec &spec : allServeSpecs()) {
                 std::cout << "serve:" << spec.name << ": "
@@ -86,14 +89,19 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             outDir = value("--out");
         } else if (arg == "--scale") {
-            scale = std::atof(value("--scale").c_str());
-            if (scale <= 0.0) {
+            if (!parseDouble(value("--scale"), scale) || scale <= 0.0) {
                 std::cerr << "error: --scale needs a positive number\n";
                 return 2;
             }
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::atoi(value("--jobs").c_str()));
+            std::uint64_t n = 0;
+            if (!parseUnsigned(value("--jobs"), n) ||
+                n > std::numeric_limits<unsigned>::max()) {
+                std::cerr << "error: --jobs needs a non-negative "
+                             "integer\n";
+                return 2;
+            }
+            jobs = static_cast<unsigned>(n);
         } else {
             std::cerr << "error: unknown argument '" << arg << "'\n"
                       << kUsage;
@@ -144,8 +152,8 @@ main(int argc, char **argv)
 
     for (const SweepSpec &spec : specs) {
         const auto start = std::chrono::steady_clock::now();
-        const auto schemes = sweepSchemes(spec);
-        const auto grid = runner.runGrid(spec.apps, schemes, scale);
+        const auto grid =
+            runner.runGrid(spec.apps, spec.points, scale, spec.transform);
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - start);
@@ -160,9 +168,10 @@ main(int argc, char **argv)
         writeSuiteJson(os, spec.name, scale, spec.apps, spec.schemes,
                        grid);
         std::cout << "  " << spec.name << ": " << spec.apps.size()
-                  << " apps x " << spec.schemes.size() << " schemes -> "
+                  << " apps x " << spec.points.size() << " points -> "
                   << path.string() << " (" << elapsed.count()
                   << " ms)\n";
+        printSweepTable(std::cout, spec, grid);
     }
 
     for (const ServeSpec &spec : serveSpecs) {
