@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/runner.hh"
 #include "sim/config.hh"
 
 namespace idyll
@@ -23,12 +24,12 @@ struct CliOptions
     std::string app = "KM";
     std::string scheme = "baseline";
     double scale = 1.0;
-    unsigned jobs = 0; ///< sweep workers; 0 = auto (see resolveJobs)
     bool dumpStats = false;
     bool listApps = false;
     bool help = false;
-    bool digest = false;      ///< print the final translation-state digest
-    bool traceDigest = false; ///< print the canonical trace digest
+    /// --digest and --trace-digest choose what the one run prints:
+    bool digest = false;      ///< the final translation-state digest
+    bool traceDigest = false; ///< the canonical trace digest
     std::string jsonOut;      ///< write full results JSON to this file
 
     // --- serve mode (harness/serve.hh) — plain scalars so cli.hh
@@ -57,9 +58,6 @@ struct CliParse
     std::optional<CliOptions> options;
     std::string error;
 
-    /** Non-fatal advisory (e.g. --jobs clamped for --shards). */
-    std::string warning;
-
     bool ok() const { return options.has_value(); }
 };
 
@@ -74,36 +72,27 @@ struct CliParse
  *   --cus N             CUs per GPU
  *   --walkers N         page-table walker threads
  *   --l2tlb N           L2 TLB entries
+ *   --l2-subentry N     pages sharing one L2 TLB tag
+ *   --dead-evict        dead-entry-aware L2 TLB / MMU-cache eviction
+ *   --mmu-cache ExW,... per-level MMU-cache geometry, leaf level first
  *   --threshold N       access counter threshold (unscaled)
  *   --page-size 4k|2m   page size
  *   --irmb BxO          IRMB geometry, e.g. 32x16
  *   --dir-bits M        in-PTE directory bits
  *   --scale F           per-CU work multiplier
- *   --jobs N            sweep worker threads (0 = auto)
- *   --shards N          event-core shards per run (1 = serial). Shards
- *                       take precedence over --jobs: when shards * jobs
- *                       would oversubscribe the machine, jobs is
- *                       clamped (see clampJobsForShards)
+ *   --shards N          event-core shards per run (1 = serial)
  *   --seed N            RNG seed
  *   --raw               do NOT apply the simulation scaling
  *   --stats             print extended statistics
- *   --oracle            enable the translation-coherence oracle
- *   --faults PLAN       fault-injection plan (see README)
  *   --unplug PLAN       GPU hot-unplug schedule, e.g. g1@60000/140000
- *   --retry-timeout N   driver re-sends unacked invalidations after N
- *   --watchdog-events N trip after N events with no forward progress
- *   --watchdog-ticks N  trip after N ticks with no forward progress
  *   --digest            print the final translation-state digest
- *   --trace CATS        enable tracing: "all" or csv of
- *                       tlb,irmb,dir,walk,mig,inval,fault,net
  *   --trace-out FILE    stream JSONL trace events to FILE
  *   --trace-digest      print the canonical trace digest (implies
  *                       --trace all unless --trace was given)
- *   --latency           enable the per-request latency scoreboard
- *   --sample-every N    sample queue depths every N cycles
  *   --sample-records N  interval-sampler ring capacity (default 4096)
  *   --sample-out FILE   write the sample ring JSON to FILE
  *   --json FILE         write the run's full results JSON to FILE
+ *   --progress[=SECS]   live status line on stderr every SECS (5)
  *   --serve             windowed steady-state SLO mode (serve.hh)
  *   --serve-window N    measurement window length in cycles
  *   --serve-warmup N    warmup windows discarded before measuring
@@ -119,6 +108,8 @@ struct CliParse
  *   --chaos-out FILE    write the chaos JSON artifact to FILE
  *   --list-apps         list workloads and exit
  *   --help              usage
+ * plus the instrument flags of parseInstrumentFlag(). A count that
+ * does not fit its field (e.g. --gpus 4294967298) is an error.
  */
 CliParse parseCli(const std::vector<std::string> &args);
 
@@ -126,25 +117,39 @@ CliParse parseCli(const std::vector<std::string> &args);
 std::string cliUsage();
 
 /**
- * Compose --shards with --jobs: shards win. Each sweep job runs its
- * own system, and a sharded system occupies `shards` threads, so the
- * oversubscription condition is shards * jobs > hardwareConcurrency.
- * When it holds, jobs is clamped to max(1, hw / shards); otherwise
- * jobs passes through unchanged. Pure so tests can pin hw.
+ * Parse args[i] if it is one of the instrument flags idyll_sim and
+ * idyll_sweep share, advancing @p i past its value and appending the
+ * knob to @p edits:
+ *   --oracle            enable the translation-coherence oracle
+ *   --faults PLAN       fault-injection plan (see README)
+ *   --retry-timeout N   driver re-sends unacked invalidations after N
+ *   --watchdog-events N trip after N events with no forward progress
+ *   --watchdog-ticks N  trip after N ticks with no forward progress
+ *   --trace CATS        enable tracing: "all" or csv of
+ *                       tlb,irmb,dir,walk,mig,inval,fault,net
+ *   --latency           enable the per-request latency scoreboard
+ *   --sample-every N    sample queue depths every N cycles
+ *   --host-stats        wall-clock dispatch throughput in the results
  *
- * @param jobs   requested sweep workers (already resolved, >= 1)
- * @param shards effective event-core shards (>= 1)
- * @param hw     hardware concurrency (0 is treated as 1)
- * @param warned when non-null, set true iff jobs was clamped
+ * @return false when args[i] is not an instrument flag; otherwise
+ *         true, with @p error set when its value is missing or bad.
  */
-unsigned clampJobsForShards(unsigned jobs, std::uint32_t shards,
-                            unsigned hw, bool *warned = nullptr);
+bool parseInstrumentFlag(const std::vector<std::string> &args,
+                         std::size_t &i, std::vector<ConfigEdit> &edits,
+                         std::string &error);
+
+/** The usage lines of the instrument flags (parseInstrumentFlag). */
+std::string instrumentUsage();
 
 /**
  * Parse a base-10 unsigned integer. Rejects empty text, a sign,
  * leading blanks, trailing characters and out-of-range values.
  */
 bool parseUnsigned(const std::string &text, std::uint64_t &out);
+
+/** parseUnsigned, and the value must lie in [@p min, @p max]. */
+bool parseCount(const std::string &text, std::uint64_t min,
+                std::uint64_t max, std::uint64_t &out);
 
 /** Parse a finite number; rejects empty text and trailing characters. */
 bool parseDouble(const std::string &text, double &out);

@@ -1,10 +1,7 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
-
-#include "sim/logging.hh"
 
 namespace idyll
 {
@@ -14,12 +11,6 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("IDYLL_JOBS")) {
-        const long jobs = std::atol(env);
-        if (jobs > 0)
-            return static_cast<unsigned>(jobs);
-        warn("ignoring invalid IDYLL_JOBS '", env, "'");
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -44,12 +44,8 @@ struct SchemePoint
  */
 using AppTransform = std::function<AppParams(AppParams)>;
 
-/**
- * Default workload scale for sweeps. Override with the
- * IDYLL_BENCH_SCALE environment variable to trade runtime for
- * statistical weight.
- */
-double benchScale();
+/** A change to a run's configuration, applied after its preset. */
+using ConfigEdit = std::function<void(SystemConfig &)>;
 
 /**
  * The simulated runs are ~10^3 times shorter than the real
@@ -61,7 +57,10 @@ double benchScale();
 constexpr std::uint32_t kScaledThreshold256 = 8;
 constexpr std::uint32_t kScaledThreshold512 = 16;
 
-/** Apply the simulation scaling to a Table 2 configuration. */
+/**
+ * Apply the simulation scaling to a Table 2 configuration: the scaled
+ * access-counter threshold and home-shard prepopulation, nothing else.
+ */
 SystemConfig scaledForSim(SystemConfig cfg);
 
 } // namespace idyll

@@ -375,7 +375,7 @@ serveSpecByName(const std::string &name)
 }
 
 ServeReport
-runServeSpec(const ServeSpec &spec)
+runServeSpec(const ServeSpec &spec, const ConfigEdit &edit)
 {
     auto preset = schemeByName(spec.scheme);
     if (!preset)
@@ -385,6 +385,8 @@ runServeSpec(const ServeSpec &spec)
     if (spec.gpus)
         cfg.numGpus = spec.gpus;
     cfg.hostStats = true; // the artifact folds in events/sec
+    if (edit)
+        edit(cfg);
     return runServe(spec.app, cfg, spec.scale, spec.params);
 }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "harness/results.hh"
+#include "harness/runner.hh"
 #include "sim/config.hh"
 #include "sim/latency.hh"
 #include "sim/types.hh"
@@ -206,9 +207,11 @@ std::optional<ServeSpec> serveSpecByName(const std::string &name);
 
 /**
  * Resolve @p spec (scheme name -> simulation-scaled config, host
- * stats on) and run it. fatal() on an unknown scheme name.
+ * stats on), apply @p edit to that config when one is given, and run
+ * it. fatal() on an unknown scheme name.
  */
-ServeReport runServeSpec(const ServeSpec &spec);
+ServeReport runServeSpec(const ServeSpec &spec,
+                         const ConfigEdit &edit = {});
 
 } // namespace idyll
 

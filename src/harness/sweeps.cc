@@ -16,7 +16,6 @@ namespace
 {
 
 using Row = std::vector<SimResults>;
-using Edit = std::function<void(SystemConfig &)>;
 
 /** 100 * part / whole, 0 when whole is empty (breakdown columns). */
 double
@@ -87,7 +86,7 @@ preset(const std::string &scheme)
 /** Preset @p scheme under @p label, edited by @p edit, at @p work. */
 SchemePoint
 variant(const std::string &scheme, std::string label,
-        const Edit &edit = {}, double work = 1.0)
+        const ConfigEdit &edit = {}, double work = 1.0)
 {
     SchemePoint point = preset(scheme);
     point.label = std::move(label);
@@ -148,7 +147,7 @@ addPairs(SweepSpec &spec, const std::vector<std::string> &tags,
              [](std::size_t) { return 1.0; })
 {
     for (std::size_t i = 0; i < tags.size(); ++i) {
-        const Edit apply = [&](SystemConfig &cfg) { edit(i, cfg); };
+        const ConfigEdit apply = [&](SystemConfig &cfg) { edit(i, cfg); };
         spec.points.push_back(
             variant("baseline", "baseline-" + tags[i], apply, work(i)));
         spec.points.push_back(
@@ -187,7 +186,9 @@ makeRegistry()
     // the share of runtime that disappears when invalidations are
     // free; measured on 2 GPUs like the paper's A100 profile.
     {
-        const Edit twoGpus = [](SystemConfig &cfg) { cfg.numGpus = 2; };
+        const ConfigEdit twoGpus = [](SystemConfig &cfg) {
+            cfg.numGpus = 2;
+        };
         r.push_back({"fig01", "page table invalidation overhead (2 GPUs)",
                      "~42% of execution time on average; PR and ST "
                      "among the highest",
@@ -414,7 +415,7 @@ makeRegistry()
     // sharing and L2 dead-entry eviction on top; every column is
     // normalized to the plain 2048-entry baseline.
     {
-        const Edit bigL2 = [](SystemConfig &cfg) {
+        const ConfigEdit bigL2 = [](SystemConfig &cfg) {
             cfg.l2Tlb = TlbConfig{2048, 64, 10};
         };
         r.push_back(
@@ -490,7 +491,7 @@ makeRegistry()
     // Fig 20: the scaled threshold 8 stands in for the paper's 256,
     // 16 for its 512 (runner.hh).
     {
-        const Edit t512 = [](SystemConfig &cfg) {
+        const ConfigEdit t512 = [](SystemConfig &cfg) {
             cfg.accessCounterThreshold = kScaledThreshold512;
         };
         r.push_back(
@@ -509,7 +510,7 @@ makeRegistry()
     // VM subsystem stressed: the page count shrinks 8x (not 512x), so
     // the 2 MB run models a 64x larger dataset.
     {
-        const Edit largePages = [](SystemConfig &cfg) {
+        const ConfigEdit largePages = [](SystemConfig &cfg) {
             cfg.pageBits = 21;
         };
         r.push_back(
@@ -628,7 +629,7 @@ makeRegistry()
     // curve); m = 1 degenerates to broadcast-to-every-past-toucher.
     // 16 GPUs carry 4x the CUs, so every point runs at 0.25 work.
     {
-        const Edit sixteenGpus = [](SystemConfig &cfg) {
+        const ConfigEdit sixteenGpus = [](SystemConfig &cfg) {
             cfg.numGpus = 16;
         };
         SweepSpec spec{"ablation-dir-bits",

@@ -7,6 +7,8 @@
 
 #include "harness/cli.hh"
 #include "harness/runner.hh"
+#include "harness/system.hh"
+#include "workloads/workload.hh"
 
 namespace idyll
 {
@@ -95,7 +97,6 @@ TEST(Cli, RejectsSignedNumbers)
     // strtoull negates a leading '-': "-1" used to wrap to 2^64 - 1.
     EXPECT_FALSE(parseCli({"--shards", "-1"}).ok());
     EXPECT_FALSE(parseCli({"--dir-bits", "-5"}).ok());
-    EXPECT_FALSE(parseCli({"--jobs", "-1"}).ok());
     EXPECT_FALSE(parseCli({"--gpus", "+4"}).ok());
     EXPECT_FALSE(parseCli({"--seed", " 7"}).ok());
     EXPECT_FALSE(parseCli({"--scale", "nan"}).ok());
@@ -128,15 +129,6 @@ TEST(Cli, NumberParsers)
     EXPECT_FALSE(parseDouble("inf", d));
 }
 
-TEST(Cli, JobsFlag)
-{
-    EXPECT_EQ(mustParse({}).jobs, 0u); // 0 = auto (resolveJobs)
-    EXPECT_EQ(mustParse({"--jobs", "4"}).jobs, 4u);
-    EXPECT_EQ(mustParse({"--jobs", "0"}).jobs, 0u);
-    EXPECT_FALSE(parseCli({"--jobs"}).ok());
-    EXPECT_FALSE(parseCli({"--jobs", "many"}).ok());
-}
-
 TEST(Cli, ShardsFlag)
 {
     EXPECT_EQ(mustParse({}).config.shards, 1u); // serial by default
@@ -146,47 +138,109 @@ TEST(Cli, ShardsFlag)
     EXPECT_FALSE(parseCli({"--shards", "few"}).ok());
 }
 
-TEST(Cli, ShardsTakePrecedenceOverJobs)
-{
-    // clampJobsForShards is the pure core of the composition rule
-    // (shards win; shards x jobs must fit the machine), with the
-    // hardware thread count injected so the test pins exact numbers.
-    bool warned = false;
-
-    // Fits: 2 shards x 4 jobs on 16 threads passes through untouched.
-    EXPECT_EQ(clampJobsForShards(4, 2, 16, &warned), 4u);
-    EXPECT_FALSE(warned);
-
-    // Oversubscribed: 8 shards x 4 jobs on 16 threads clamps jobs to
-    // hw / shards = 2 and reports the clamp.
-    EXPECT_EQ(clampJobsForShards(4, 8, 16, &warned), 2u);
-    EXPECT_TRUE(warned);
-
-    // Shards alone exceed the machine: jobs floor at 1.
-    warned = false;
-    EXPECT_EQ(clampJobsForShards(4, 32, 16, &warned), 1u);
-    EXPECT_TRUE(warned);
-
-    // Serial shards never constrain jobs.
-    warned = false;
-    EXPECT_EQ(clampJobsForShards(64, 1, 4, &warned), 64u);
-    EXPECT_FALSE(warned);
-
-    // Degenerate inputs stay sane (and never divide by zero).
-    EXPECT_EQ(clampJobsForShards(0, 4, 16, nullptr), 1u);
-    EXPECT_GE(clampJobsForShards(4, 4, 0, nullptr), 1u);
-
-    // End to end: a --shards run that fits emits no advisory.
-    CliParse fits = parseCli({"--shards", "2", "--jobs", "1"});
-    ASSERT_TRUE(fits.ok());
-    EXPECT_TRUE(fits.warning.empty());
-}
-
-TEST(Cli, UsageDocumentsShardJobPrecedence)
+TEST(Cli, UsageDocumentsShards)
 {
     const std::string usage = cliUsage();
     EXPECT_NE(usage.find("--shards"), std::string::npos);
-    EXPECT_NE(usage.find("precedence over --jobs"), std::string::npos);
+    EXPECT_EQ(usage.find("--jobs"), std::string::npos); // sweeps only
+}
+
+TEST(Cli, RejectsCountsThatWrap)
+{
+    // 2^32 + 2 used to narrow to 2 GPUs and 2^32 + 1 to one shard.
+    for (const char *flag :
+         {"--gpus", "--shards", "--serve-warmup", "--threshold"}) {
+        EXPECT_FALSE(parseCli({flag, "4294967298"}).ok()) << flag;
+        EXPECT_FALSE(parseCli({flag, "4294967297"}).ok()) << flag;
+    }
+    EXPECT_FALSE(parseCli({"--irmb", "4294967328x16"}).ok());
+    EXPECT_FALSE(parseCli({"--irmb", "32x4294967312"}).ok());
+    EXPECT_FALSE(parseCli({"--mmu-cache", "64x8,4294967328x4"}).ok());
+    EXPECT_FALSE(parseCli({"--mmu-cache", "64x4294967304"}).ok());
+
+    // The largest value that fits is still accepted.
+    EXPECT_EQ(mustParse({"--serve-warmup", "4294967295"}).serveWarmup,
+              4294967295u);
+    EXPECT_EQ(mustParse({"--gpus", "4294967295"}).config.numGpus,
+              4294967295u);
+    const CliParse wrapped = parseCli({"--gpus", "4294967298"});
+    EXPECT_NE(wrapped.error.find("4294967295"), std::string::npos)
+        << wrapped.error;
+}
+
+TEST(Cli, InstrumentFlagsEditTheConfig)
+{
+    const std::vector<std::string> args{
+        "--oracle",          "--faults",         "ack.dup@0.2",
+        "--retry-timeout",   "20000",            "--watchdog-events",
+        "2000000",           "--watchdog-ticks", "300000",
+        "--trace",           "irmb,inval",       "--latency",
+        "--sample-every",    "1000",             "--host-stats"};
+    std::vector<ConfigEdit> edits;
+    std::string error;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        ASSERT_TRUE(parseInstrumentFlag(args, i, edits, error)) << args[i];
+        ASSERT_TRUE(error.empty()) << error;
+    }
+    EXPECT_EQ(edits.size(), 9u);
+
+    SystemConfig cfg = scaledForSim(SystemConfig::idyllFull());
+    for (const ConfigEdit &edit : edits)
+        edit(cfg);
+    EXPECT_TRUE(cfg.integrity.oracle);
+    EXPECT_EQ(cfg.integrity.faultPlan, "ack.dup@0.2");
+    EXPECT_EQ(cfg.integrity.invalRetryTimeout, 20000u);
+    EXPECT_EQ(cfg.integrity.watchdogMaxIdleEvents, 2000000u);
+    EXPECT_EQ(cfg.integrity.watchdogMaxIdleTicks, 300000u);
+    EXPECT_EQ(cfg.trace.categories, "irmb,inval");
+    EXPECT_TRUE(cfg.latency.enabled);
+    EXPECT_EQ(cfg.sampler.everyCycles, 1000u);
+    EXPECT_TRUE(cfg.hostStats);
+
+    // parseCli reads the same flags through the same parser.
+    const CliOptions opts = mustParse(args);
+    EXPECT_EQ(opts.config.integrity.faultPlan, "ack.dup@0.2");
+    EXPECT_EQ(opts.config.sampler.everyCycles, 1000u);
+    EXPECT_TRUE(opts.config.hostStats);
+}
+
+TEST(Cli, InstrumentParserLeavesOtherFlags)
+{
+    std::vector<ConfigEdit> edits;
+    std::string error;
+    std::size_t i = 0;
+    EXPECT_FALSE(parseInstrumentFlag({"--gpus", "8"}, i, edits, error));
+    EXPECT_EQ(i, 0u);
+    EXPECT_TRUE(edits.empty());
+
+    for (const std::vector<std::string> &bad :
+         {std::vector<std::string>{"--faults"},
+          {"--trace", "bogus"},
+          {"--retry-timeout", "0"},
+          {"--sample-every", "-1"}}) {
+        i = 0;
+        error.clear();
+        EXPECT_TRUE(parseInstrumentFlag(bad, i, edits, error)) << bad[0];
+        EXPECT_FALSE(error.empty()) << bad[0];
+    }
+    EXPECT_TRUE(edits.empty());
+}
+
+TEST(Cli, DigestFollowsThresholdAndRaw)
+{
+    // idyll_sim's one run: the parsed config, with no second scaling.
+    auto digest = [](std::vector<std::string> args) {
+        for (const char *extra :
+             {"--app", "KM", "--scheme", "idyll", "--scale", "0.05"})
+            args.emplace_back(extra);
+        const CliOptions opts = mustParse(args);
+        MultiGpuSystem system(opts.config);
+        system.run(Workload::byName(opts.app, opts.scale));
+        return system.translationStateDigest();
+    };
+    const std::uint64_t base = digest({});
+    EXPECT_NE(digest({"--threshold", "16"}), base);
+    EXPECT_NE(digest({"--raw"}), base);
 }
 
 TEST(Cli, TraceFlags)
@@ -211,6 +265,10 @@ TEST(Cli, TraceFlags)
     EXPECT_EQ(mustParse({"--trace-digest", "--trace", "irmb"})
                   .config.trace.categories,
               "irmb");
+
+    // The digests describe a plain run; the other drivers refuse them.
+    EXPECT_FALSE(parseCli({"--serve", "--digest"}).ok());
+    EXPECT_FALSE(parseCli({"--chaos", "7,1", "--trace-digest"}).ok());
 }
 
 TEST(Cli, OddL2TlbSizesRemainValid)

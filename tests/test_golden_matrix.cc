@@ -2,7 +2,7 @@
  * @file
  * Golden digest matrix: every cell runs a 4-GPU system at scale 0.05
  * through the same configuration path as `idyll_sim ... --digest`
- * (parseCli, then scaledForSim) with every trace category on, and
+ * (the config parseCli returns) with every trace category on, and
  * pins three things: the execution cycles, the final translation-state
  * digest, and the trace digest's `all` line. Any change to simulated
  * behaviour -- event order, protocol timing, translation state --
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "harness/cli.hh"
-#include "harness/runner.hh"
 #include "harness/system.hh"
 #include "sim/trace.hh"
 #include "workloads/workload.hh"
@@ -119,7 +118,7 @@ TEST_P(GoldenMatrix, MatchesPinnedDigests)
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const CliOptions &opts = *parsed.options;
 
-    MultiGpuSystem system(scaledForSim(opts.config));
+    MultiGpuSystem system(opts.config);
     const SimResults r =
         system.run(Workload::byName(opts.app, opts.scale));
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "harness/parallel.hh"
@@ -57,17 +56,6 @@ TEST(Runner, ScaledForSimAppliesScalingKnobs)
     // Everything else untouched.
     EXPECT_EQ(cfg.numGpus, 4u);
     EXPECT_EQ(cfg.l2Tlb.entries, 512u);
-}
-
-TEST(Runner, BenchScaleReadsEnvironment)
-{
-    unsetenv("IDYLL_BENCH_SCALE");
-    EXPECT_DOUBLE_EQ(benchScale(), 1.0);
-    setenv("IDYLL_BENCH_SCALE", "0.25", 1);
-    EXPECT_DOUBLE_EQ(benchScale(), 0.25);
-    setenv("IDYLL_BENCH_SCALE", "bogus", 1);
-    EXPECT_DOUBLE_EQ(benchScale(), 1.0);
-    unsetenv("IDYLL_BENCH_SCALE");
 }
 
 TEST(Runner, RunSuiteShapesResults)

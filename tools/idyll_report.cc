@@ -10,7 +10,7 @@
  *   idyll_report --check run.json    # exit 1 unless spans sum exactly
  *
  * Runs must have been executed with the latency scoreboard enabled
- * (--latency or IDYLL_LATENCY=1); runs without attribution data are
+ * (idyll_sim or idyll_sweep --latency); runs without attribution data are
  * listed but carry no table (and fail --check).
  *
  * The parser is a line scanner over the fixed-format JSON our own

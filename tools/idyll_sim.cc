@@ -14,7 +14,6 @@
 
 #include "harness/chaos.hh"
 #include "harness/cli.hh"
-#include "harness/runner.hh"
 #include "harness/serve.hh"
 #include "harness/system.hh"
 #include "workloads/workload.hh"
@@ -81,6 +80,19 @@ printServeReport(const idyll::ServeReport &r)
              << r.results.eventsPerSec << "\n"
              << std::setprecision(2);
     }
+}
+
+/** Write @p text to @p path; false, with a message, when it cannot. */
+bool
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << "error: cannot write " << path << "\n";
+        return false;
+    }
+    os << text;
+    return true;
 }
 
 std::string
@@ -200,8 +212,6 @@ main(int argc, char **argv)
         return 2;
     }
     const CliOptions &opts = *parsed.options;
-    if (!parsed.warning.empty())
-        std::cerr << "warning: " << parsed.warning << "\n";
     if (opts.help) {
         std::cout << cliUsage();
         return 0;
@@ -224,27 +234,6 @@ main(int argc, char **argv)
     }
 
     try {
-        if (opts.digest) {
-            // Digest mode: run and print only the final host
-            // page-table digest (for faulted-vs-clean comparisons).
-            // Scale the config exactly as runOnce() would so digests
-            // are comparable with normal runs of the same flags.
-            MultiGpuSystem system(scaledForSim(opts.config));
-            system.run(Workload::byName(opts.app, opts.scale));
-            std::cout << "digest 0x" << std::hex
-                      << system.translationStateDigest() << std::dec
-                      << "\n";
-            return 0;
-        }
-        if (opts.traceDigest) {
-            // Trace-digest mode: run traced and print the canonical
-            // per-category event counts and order-insensitive hashes.
-            // The golden-trace regression tests pin this text.
-            MultiGpuSystem system(opts.config);
-            system.run(Workload::byName(opts.app, opts.scale));
-            std::cout << system.traceDigest()->canonicalText();
-            return 0;
-        }
         if (opts.chaos) {
             ChaosOptions copts;
             copts.seed = opts.chaosSeed;
@@ -272,15 +261,9 @@ main(int argc, char **argv)
                           << "\n"
                           << "repro: " << report.reproCommand << "\n";
             }
-            if (!opts.chaosOut.empty()) {
-                std::ofstream os(opts.chaosOut);
-                if (!os) {
-                    std::cerr << "error: cannot write " << opts.chaosOut
-                              << "\n";
-                    return 1;
-                }
-                os << report.toJson();
-            }
+            if (!opts.chaosOut.empty() &&
+                !writeFile(opts.chaosOut, report.toJson()))
+                return 1;
             return report.failed ? 1 : 0;
         }
         if (opts.serve) {
@@ -293,37 +276,30 @@ main(int argc, char **argv)
             ServeReport report =
                 runServe(opts.app, opts.config, opts.scale, params);
             printServeReport(report);
-            if (!opts.benchOut.empty()) {
-                std::ofstream os(opts.benchOut);
-                if (!os) {
-                    std::cerr << "error: cannot write "
-                              << opts.benchOut << "\n";
-                    return 1;
-                }
-                os << report.toJson() << "\n";
-            }
-            if (!opts.jsonOut.empty()) {
-                std::ofstream os(opts.jsonOut);
-                if (!os) {
-                    std::cerr << "error: cannot write " << opts.jsonOut
-                              << "\n";
-                    return 1;
-                }
-                os << report.results.toJson() << "\n";
-            }
+            if (!opts.benchOut.empty() &&
+                !writeFile(opts.benchOut, report.toJson() + "\n"))
+                return 1;
+            if (!opts.jsonOut.empty() &&
+                !writeFile(opts.jsonOut, report.results.toJson() + "\n"))
+                return 1;
             return 0;
         }
-        SimResults r = runOnce(opts.app, opts.config, opts.scale);
-        printResults(r, opts.dumpStats);
-        if (!opts.jsonOut.empty()) {
-            std::ofstream os(opts.jsonOut);
-            if (!os) {
-                std::cerr << "error: cannot write " << opts.jsonOut
-                          << "\n";
-                return 1;
-            }
-            os << r.toJson() << "\n";
-        }
+        // One run; --digest and --trace-digest only choose what it
+        // prints (the golden-trace regression tests pin the trace text).
+        MultiGpuSystem system(opts.config);
+        const SimResults r =
+            system.run(Workload::byName(opts.app, opts.scale));
+        if (opts.digest)
+            std::cout << "digest 0x" << std::hex
+                      << system.translationStateDigest() << std::dec
+                      << "\n";
+        if (opts.traceDigest)
+            std::cout << system.traceDigest()->canonicalText();
+        if (!opts.digest && !opts.traceDigest)
+            printResults(r, opts.dumpStats);
+        if (!opts.jsonOut.empty() &&
+            !writeFile(opts.jsonOut, r.toJson() + "\n"))
+            return 1;
     } catch (const ConfigError &err) {
         std::cerr << "error: " << err.what() << "\n";
         return 1;

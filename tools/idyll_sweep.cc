@@ -7,9 +7,10 @@
  *
  *   idyll_sweep --figure fig11 --jobs 4
  *   idyll_sweep --figure all --out results --scale 0.05
+ *   idyll_sweep --figure smoke --scale 0.05 --oracle --faults ack.dup@0.2
  *
- * IDYLL_BENCH_SCALE and IDYLL_JOBS are honored like everywhere else
- * in the harness; --scale / --jobs win over both.
+ * The instrument flags are idyll_sim's (parseInstrumentFlag) and apply
+ * to every point and serve preset the invocation runs.
  */
 
 #include <chrono>
@@ -30,19 +31,19 @@
 namespace
 {
 
-const char *kUsage =
+const std::string kUsage =
     "usage: idyll_sweep [--figure NAME|all] [--serve NAME] [--out DIR]\n"
     "                   [--scale F] [--jobs N] [--list] [--help]\n"
+    "                   [instrument flags]\n"
     "  --figure NAME   sweep to run (repeatable; 'all' = every sweep)\n"
     "  --serve NAME    serve preset to run (repeatable; writes\n"
     "                  BENCH_serve.json, or BENCH_serve_<name>.json\n"
     "                  when several presets are requested)\n"
     "  --out DIR       output directory (default: results)\n"
-    "  --scale F       per-CU work multiplier\n"
-    "                  (default: IDYLL_BENCH_SCALE or 1.0)\n"
-    "  --jobs N        worker threads (default: IDYLL_JOBS, then\n"
-    "                  hardware concurrency)\n"
-    "  --list          list sweeps and serve presets, then exit\n";
+    "  --scale F       per-CU work multiplier (default 1.0)\n"
+    "  --jobs N        worker threads (default: hardware concurrency)\n"
+    "  --list          list sweeps and serve presets, then exit\n" +
+    idyll::instrumentUsage();
 
 } // namespace
 
@@ -54,12 +55,14 @@ main(int argc, char **argv)
     std::vector<std::string> figures;
     std::vector<std::string> serves;
     std::string outDir = "results";
-    double scale = benchScale();
+    double scale = 1.0;
     unsigned jobs = 0;
+    std::vector<ConfigEdit> instruments;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        std::string error;
         auto value = [&](const char *flag) -> std::string {
             if (i + 1 >= args.size()) {
                 std::cerr << "error: " << flag << " needs a value\n"
@@ -68,7 +71,12 @@ main(int argc, char **argv)
             }
             return args[++i];
         };
-        if (arg == "--help") {
+        if (parseInstrumentFlag(args, i, instruments, error)) {
+            if (!error.empty()) {
+                std::cerr << "error: " << error << "\n" << kUsage;
+                return 2;
+            }
+        } else if (arg == "--help") {
             std::cout << kUsage;
             return 0;
         } else if (arg == "--list") {
@@ -95,8 +103,8 @@ main(int argc, char **argv)
             }
         } else if (arg == "--jobs") {
             std::uint64_t n = 0;
-            if (!parseUnsigned(value("--jobs"), n) ||
-                n > std::numeric_limits<unsigned>::max()) {
+            if (!parseCount(value("--jobs"), 0,
+                            std::numeric_limits<unsigned>::max(), n)) {
                 std::cerr << "error: --jobs needs a non-negative "
                              "integer\n";
                 return 2;
@@ -117,6 +125,10 @@ main(int argc, char **argv)
     }
     if (figures.size() == 1 && figures.front() == "all")
         figures = sweepNames();
+    const ConfigEdit instrument = [&instruments](SystemConfig &cfg) {
+        for (const ConfigEdit &edit : instruments)
+            edit(cfg);
+    };
 
     std::vector<SweepSpec> specs;
     for (const std::string &name : figures) {
@@ -126,6 +138,8 @@ main(int argc, char **argv)
                       << "' (try --list)\n";
             return 2;
         }
+        for (SchemePoint &point : spec->points)
+            instrument(point.cfg);
         specs.push_back(std::move(*spec));
     }
     std::vector<ServeSpec> serveSpecs;
@@ -176,7 +190,7 @@ main(int argc, char **argv)
 
     for (const ServeSpec &spec : serveSpecs) {
         const auto start = std::chrono::steady_clock::now();
-        const ServeReport report = runServeSpec(spec);
+        const ServeReport report = runServeSpec(spec, instrument);
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - start);
