@@ -100,9 +100,9 @@ Gpu::access(std::uint32_t cu, VAddr va, bool write)
     _stats.accesses.inc();
     const Vpn vpn = _layout.vpnOf(va);
     IDYLL_ASSERT(_driver, "GPU not connected to a driver");
-    // Tallied locally; the harness replays totals into the driver at
-    // quiesce (recordAccessBulk) — a per-access driver call would be
-    // a cross-shard access on the hottest path in the model.
+    // Tallied locally; the harness folds the totals into Figure 4's
+    // sharing-degree buckets (forEachAccessTally) — a per-access
+    // driver call would be a cross-shard access on the hottest path.
     VpnState &state = _vpns[vpn];
     ++state.accessTally;
 

@@ -166,9 +166,9 @@ class Gpu : public GpuItf
 
     /**
      * Visit each page's access total, tallied locally during the run,
-     * as @p fn(vpn, count). The harness replays them into the driver
-     * (recordAccessBulk) at quiesce so the sharing-degree accounting
-     * never needs a cross-shard call on the access fast path. The
+     * as @p fn(vpn, count). The harness folds every GPU's totals into
+     * Figure 4's sharing-degree buckets when it collects results, so
+     * the access fast path never makes a cross-shard call. The
      * visiting order is unspecified; callers must not depend on it.
      */
     template <typename Fn>

@@ -1,11 +1,13 @@
 #include "harness/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -445,17 +447,11 @@ MultiGpuSystem::finish(const std::string &app)
         _tracer->flush();
 
     // Quiesce-time folding: per-shard stat lanes collapse into the
-    // canonical (registered) lane-0 objects, and each GPU's local
-    // access tally replays into the driver's sharing-degree counts.
-    // All of it is order-independent, so the fold cannot perturb
-    // serial-vs-sharded result identity.
+    // canonical (registered) lane-0 objects. The fold is order-
+    // independent, so it cannot perturb serial-vs-sharded identity.
     _net.foldStats();
     if (_injector)
         _injector->foldStats();
-    for (auto &gpu : _gpus)
-        gpu->forEachAccessTally([&](Vpn vpn, std::uint64_t count) {
-            _driver.recordAccessBulk(gpu->id(), vpn, count);
-        });
 
     return collectResults(app);
 }
@@ -623,7 +619,23 @@ MultiGpuSystem::collectResults(const std::string &app) const
                        static_cast<double>(r.instructions)
                  : 0.0;
 
-    r.sharingBuckets = _driver.accessesBySharingDegree();
+    // Figure 4: accesses grouped by how many distinct GPUs touched
+    // the page (index k = k+1 GPUs). Sums, so visiting order is moot.
+    struct Sharing
+    {
+        std::uint64_t gpuMask = 0;
+        std::uint64_t accesses = 0;
+    };
+    std::unordered_map<Vpn, Sharing> sharing;
+    for (const auto &gpu : _gpus)
+        gpu->forEachAccessTally([&](Vpn vpn, std::uint64_t count) {
+            Sharing &page = sharing[vpn];
+            page.gpuMask |= 1ull << gpu->id();
+            page.accesses += count;
+        });
+    r.sharingBuckets.assign(_cfg.numGpus, 0);
+    for (const auto &[vpn, page] : sharing)
+        r.sharingBuckets[std::popcount(page.gpuMask) - 1] += page.accesses;
     r.networkBytes = _net.totalBytes();
 
     if (_hostSeconds > 0.0) {

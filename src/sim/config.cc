@@ -4,7 +4,6 @@
 
 #include "sim/fault_domain.hh"
 #include "sim/integrity.hh"
-#include "sim/logging.hh"
 #include "sim/trace.hh"
 
 namespace idyll
@@ -122,7 +121,6 @@ SystemConfig::check() const
     require(interGpuLink.bandwidthBytesPerCycle > 0.0 &&
                 hostLink.bandwidthBytesPerCycle > 0.0,
             "link bandwidth must be positive");
-    require(faultBatchSize != 0, "fault batch size must be nonzero");
     require(integrity.traceDepth != 0,
             "integrity trace depth must be nonzero");
     require(parseTraceCategories(trace.categories).has_value(),
@@ -165,15 +163,6 @@ SystemConfig::check() const
                           "Trans-FW has no peer-timeout model, so a "
                           "probe stranded at a dead GPU would hang the "
                           "requester");
-    }
-
-    // Legal but suspicious: with fewer directory hash buckets than
-    // GPUs, h(gpu) = gpu % m must alias, so the in-PTE directory
-    // over-invalidates on every collision.
-    if (invalFilter == InvalFilter::InPteDirectory &&
-        directoryBits < numGpus) {
-        warn("directoryBits (", directoryBits, ") < numGpus (", numGpus,
-             "); in-PTE directory will alias GPUs and over-invalidate");
     }
 
     return bad;

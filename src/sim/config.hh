@@ -333,17 +333,15 @@ struct SystemConfig
 
     // --- memory timing ---------------------------------------------
     Cycles localDramLatency = 200;  ///< local HBM access
-    double localDramBytesPerCycle = 1000.0;
 
     // --- interconnect (Table 2) ------------------------------------
     LinkConfig interGpuLink{300.0, 250};  ///< NVLink-v2
     LinkConfig hostLink{32.0, 600};       ///< PCIe-v4
 
     // --- UVM driver -------------------------------------------------
-    std::uint32_t faultBatchSize = 256;
     Cycles hostPerLevelLatency = 20;  ///< host PT walk is much faster
     Cycles hostFaultServiceLatency = 100; ///< driver software overhead
-    std::uint32_t hostWalkers = 64;   ///< batch-of-256 fault processing
+    std::uint32_t hostWalkers = 64;   ///< concurrent fault/walk tasks
     std::uint32_t accessCounterThreshold = 256;
     MigrationPolicy migrationPolicy = MigrationPolicy::AccessCounter;
 
@@ -382,8 +380,7 @@ struct SystemConfig
 
     /**
      * Collect every violated cross-field constraint. Empty means the
-     * configuration is usable. Also emits (non-fatal) warnings for
-     * suspicious-but-legal settings.
+     * configuration is usable. Has no side effects.
      */
     std::vector<std::string> check() const;
 

@@ -97,16 +97,6 @@ class DriverItf
      * records residency so future migrations invalidate it.
      */
     virtual void onMappingRegistered(GpuId gpu, Vpn vpn) = 0;
-
-    /**
-     * Bookkeeping (untimed): @p count data accesses to @p vpn by
-     * @p gpu. GPUs tally accesses locally during the run (a per-access
-     * hook would be a cross-shard call on every access) and the
-     * harness replays the totals through this at quiesce; the
-     * aggregate is order-independent.
-     */
-    virtual void recordAccessBulk(GpuId gpu, Vpn vpn,
-                                  std::uint64_t count) = 0;
 };
 
 } // namespace idyll

@@ -24,14 +24,34 @@ UvmDriver::UvmDriver(EventQueue &eq, const SystemConfig &cfg, Network &net,
                                                 cfg.directoryBits);
     if (cfg.invalFilter == InvalFilter::InMemDirectory)
         _vmDir = std::make_unique<VmDirectory>(cfg.vmCache, cfg.numGpus);
+}
 
-    if (cfg.integrity.suppressInvalGpuForTest >= 0) {
-        const GpuId target =
-            static_cast<GpuId>(cfg.integrity.suppressInvalGpuForTest);
-        _invalSuppressor = [target](GpuId gpu, Vpn) {
-            return gpu == target;
-        };
-    }
+const HostPage::Replica *
+HostPage::replicaOf(GpuId gpu) const
+{
+    for (const Replica &r : replicas)
+        if (r.gpu == gpu)
+            return &r;
+    return nullptr;
+}
+
+void
+HostPage::addReplica(GpuId gpu, Pfn pfn)
+{
+    auto pos = std::find_if(replicas.begin(), replicas.end(),
+                            [gpu](const Replica &r) { return r.gpu > gpu; });
+    replicas.insert(pos, {gpu, pfn});
+}
+
+Pfn
+HostPage::takeReplica(GpuId gpu)
+{
+    auto it = std::find_if(replicas.begin(), replicas.end(),
+                           [gpu](const Replica &r) { return r.gpu == gpu; });
+    IDYLL_ASSERT(it != replicas.end(), "GPU ", gpu, " holds no replica");
+    const Pfn pfn = it->pfn;
+    replicas.erase(it);
+    return pfn;
 }
 
 void
@@ -55,7 +75,6 @@ UvmDriver::prepopulatePage(Vpn vpn, GpuId owner)
         _dir->markAccess(pte, owner, vpn);
     if (_vmDir)
         _vmDir->setBit(vpn, owner);
-    meta(vpn).everAccessedMask |= (1ull << owner);
     if (_oracle)
         _oracle->onHostInstall(vpn, *pfn);
     return *pfn;
@@ -67,37 +86,12 @@ UvmDriver::hostWalkCost() const
     return _cfg.hostPerLevelLatency * _layout.numLevels;
 }
 
-PageMeta &
-UvmDriver::meta(Vpn vpn)
+const HostPage &
+UvmDriver::hostPage(Vpn vpn) const
 {
-    return _pages[vpn];
-}
-
-void
-UvmDriver::recordAccessBulk(GpuId gpu, Vpn vpn, std::uint64_t count)
-{
-    auto &counts = _accessCounts[vpn];
-    if (counts.empty())
-        counts.resize(_cfg.numGpus, 0);
-    counts[gpu] += count;
-}
-
-std::vector<std::uint64_t>
-UvmDriver::accessesBySharingDegree() const
-{
-    std::vector<std::uint64_t> buckets(_cfg.numGpus, 0);
-    for (const auto &[vpn, counts] : _accessCounts) {
-        std::uint32_t degree = 0;
-        std::uint64_t total = 0;
-        for (std::uint64_t c : counts) {
-            if (c > 0)
-                ++degree;
-            total += c;
-        }
-        if (degree > 0)
-            buckets[degree - 1] += total;
-    }
-    return buckets;
+    static const HostPage kNone;
+    auto it = _pages.find(vpn);
+    return it == _pages.end() ? kNone : it->second;
 }
 
 std::uint64_t
@@ -167,9 +161,6 @@ UvmDriver::resolveFault(FaultRecord fault)
         return;
     }
 
-    PageMeta &pm = meta(fault.vpn);
-    pm.everAccessedMask |= (1ull << fault.gpu);
-
     Pte *hpte = _hostPt.find(fault.vpn);
     if (!hpte || !hpte->valid()) {
         // First touch anywhere: allocate on the faulting GPU and move
@@ -222,23 +213,32 @@ UvmDriver::resolveFault(FaultRecord fault)
 
     if (_cfg.pageReplication) {
         if (!fault.write) {
-            // Read fault: make a local read-only replica.
-            auto pfn = _gpuMem[fault.gpu].allocate();
-            if (!pfn)
-                fatal("GPU ", fault.gpu, " out of memory for replica");
-            pm.replicaFrames[fault.gpu] = *pfn;
-            _stats.replications.inc();
+            // Read fault: make a local read-only replica. A racing
+            // second read fault re-sends into the frame already held; a
+            // fresh frame would make the first grant stale and re-fault.
+            HostPage &page = _pages[fault.vpn];
+            Pfn pfn = 0;
+            if (const HostPage::Replica *held = page.replicaOf(fault.gpu)) {
+                pfn = held->pfn;
+            } else {
+                auto fresh = _gpuMem[fault.gpu].allocate();
+                if (!fresh)
+                    fatal("GPU ", fault.gpu, " out of memory for replica");
+                pfn = *fresh;
+                page.addReplica(fault.gpu, pfn);
+                _stats.replications.inc();
+            }
             // Page data moves owner -> requester over NVLink, then the
             // mapping reply goes out. The completion mutates driver
             // state, so it executes on the host shard (execNode).
             const std::uint64_t bytes = _layout.pageSize();
             _net.send(owner, fault.gpu, bytes, MsgClass::PageData,
-                      kHostId, [this, fault, pfn = *pfn] {
+                      kHostId, [this, fault, pfn] {
                           deliverReplica(fault, pfn);
                       });
             return;
         }
-        if (!pm.replicaFrames.empty()) {
+        if (!hostPage(fault.vpn).replicas.empty()) {
             // Write to a replicated page: collapse replicas onto the
             // writer (a migration with exact targets).
             _stats.collapses.inc();
@@ -290,9 +290,8 @@ UvmDriver::deliverReplica(const FaultRecord &fault, Pfn pfn)
         mig->second.blockedFaults.push_back(fault);
         return;
     }
-    const PageMeta &pm = meta(fault.vpn);
-    auto rit = pm.replicaFrames.find(fault.gpu);
-    if (rit == pm.replicaFrames.end() || rit->second != pfn) {
+    const HostPage::Replica *held = hostPage(fault.vpn).replicaOf(fault.gpu);
+    if (!held || held->pfn != pfn) {
         // Collapse already completed: the frame was freed and the
         // grant is stale. Re-run the fault against current state.
         resolveFault(fault);
@@ -370,7 +369,6 @@ UvmDriver::startMigration(Vpn vpn, GpuId dest, bool collapse)
     op.sourceHost = isDead(owner);
     auto [it, inserted] = _migrations.emplace(vpn, std::move(op));
     IDYLL_ASSERT(inserted, "duplicate migration op");
-    meta(vpn).migrating = true;
     _stats.migrations.inc();
     IDYLL_TRACE(_tracer, MigStart, dest, vpn, owner);
 
@@ -431,10 +429,10 @@ UvmDriver::sendInvalidations(Migration &op)
     if (op.collapse) {
         // The replicas and the primary owner must be covered even if
         // the filter lost track of them (e.g. a cleared directory).
-        for (const auto &[gpu, pfn] : meta(op.vpn).replicaFrames) {
-            if (std::find(targets.begin(), targets.end(), gpu) ==
+        for (const HostPage::Replica &r : hostPage(op.vpn).replicas) {
+            if (std::find(targets.begin(), targets.end(), r.gpu) ==
                 targets.end())
-                targets.push_back(gpu);
+                targets.push_back(r.gpu);
         }
         if (std::find(targets.begin(), targets.end(), op.oldOwner) ==
             targets.end())
@@ -460,24 +458,18 @@ UvmDriver::dispatchInvalidations(Migration &op)
 {
     IDYLL_ASSERT(!op.dispatched, "invalidation round already dispatched");
     op.dispatched = true;
-    op.round = ++_invalRounds[op.vpn];
+    op.round = ++_pages[op.vpn].invalRound;
 
     // An unplugged GPU can never ack, and its PTEs died with it; drop
-    // it from the round (stale directory bits may still name it).
+    // it from the round (stale directory bits may still name it). The
+    // integrity sabotage knob silently drops one more GPU (-1: none),
+    // so tests can prove the oracle catches an under-invalidation.
+    const auto suppressed =
+        static_cast<GpuId>(_cfg.integrity.suppressInvalGpuForTest);
     op.targets.erase(
         std::remove_if(op.targets.begin(), op.targets.end(),
-                       [this](GpuId g) { return isDead(g); }),
+                       [&](GpuId g) { return isDead(g) || g == suppressed; }),
         op.targets.end());
-
-    if (_invalSuppressor) {
-        const Vpn vpn = op.vpn;
-        op.targets.erase(
-            std::remove_if(op.targets.begin(), op.targets.end(),
-                           [&](GpuId g) {
-                               return _invalSuppressor(g, vpn);
-                           }),
-            op.targets.end());
-    }
 
     op.expectedAckMask = 0;
     for (GpuId g : op.targets)
@@ -650,7 +642,6 @@ UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
     Migration op = std::move(it->second);
     IDYLL_ASSERT(!isDead(op.dest), "finishing migration to a dead GPU");
 
-    PageMeta &pm = meta(vpn);
     Pte *hpte = _hostPt.find(vpn);
     IDYLL_ASSERT(hpte && hpte->valid(), "host PTE lost during migration");
 
@@ -664,17 +655,17 @@ UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
     }
 
     // Free every read replica (collapse) — their PTEs are invalid now.
-    for (const auto &[gpu, replicaPfn] : pm.replicaFrames)
-        _gpuMem[gpu].release(replicaPfn);
-    pm.replicaFrames.clear();
+    // The record exists: dispatchInvalidations numbered this round.
+    HostPage &page = _pages.at(vpn);
+    for (const HostPage::Replica &r : page.replicas)
+        _gpuMem[r.gpu].release(r.pfn);
+    page.replicas.clear();
 
     Pte &fresh = _hostPt.install(vpn, newPfn, true);
     if (_dir)
         _dir->markAccess(fresh, op.dest, vpn);
     if (_vmDir)
         _vmDir->setBit(vpn, op.dest);
-    pm.everAccessedMask |= (1ull << op.dest);
-    pm.migrating = false;
     _migrations.erase(it);
 
     _stats.migrationTotal.sample(
@@ -775,16 +766,12 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     // SCRUB: free the dead device's replica frames and clear its
     // directory presence so future rounds stop naming it.
     std::vector<Vpn> replicaVpns;
-    for (const auto &[vpn, pm] : _pages)
-        if (pm.replicaFrames.count(gpu))
+    for (const auto &[vpn, page] : _pages)
+        if (page.replicaOf(gpu))
             replicaVpns.push_back(vpn);
     std::sort(replicaVpns.begin(), replicaVpns.end());
-    for (Vpn vpn : replicaVpns) {
-        PageMeta &pm = _pages[vpn];
-        auto rit = pm.replicaFrames.find(gpu);
-        _gpuMem[gpu].release(rit->second);
-        pm.replicaFrames.erase(rit);
-    }
+    for (Vpn vpn : replicaVpns)
+        _gpuMem[gpu].release(_pages.at(vpn).takeReplica(gpu));
     if (_dir) {
         std::vector<Vpn> ptVpns;
         ptVpns.reserve(_hostPt.validCount());
@@ -813,9 +800,9 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     });
     std::sort(deadHomed.begin(), deadHomed.end());
     for (Vpn vpn : deadHomed) {
-        const PageMeta &pm = meta(vpn);
+        const HostPage &page = hostPage(vpn);
         for (GpuId g = 0; g < _cfg.numGpus; ++g) {
-            if (isDead(g) || pm.replicaFrames.count(g))
+            if (isDead(g) || page.replicaOf(g))
                 continue;
             if (_gpus[g]->hasValidMapping(vpn)) {
                 _gpus[g]->applyInstantInvalidation(vpn);
@@ -835,13 +822,12 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     });
     std::sort(lost.begin(), lost.end());
     for (Vpn vpn : lost) {
-        PageMeta &pm = meta(vpn);
         GpuId survivor = kInvalidGpu;
-        Pfn survivorPfn = 0;
-        for (const auto &[g, replicaPfn] : pm.replicaFrames) {
-            if (!isDead(g) && (survivor == kInvalidGpu || g < survivor)) {
-                survivor = g;
-                survivorPfn = replicaPfn;
+        // Ascending GPU order: the first alive holder has the lowest id.
+        for (const HostPage::Replica &r : hostPage(vpn).replicas) {
+            if (!isDead(r.gpu)) {
+                survivor = r.gpu;
+                break;
             }
         }
         if (survivor == kInvalidGpu) {
@@ -851,9 +837,9 @@ UvmDriver::onGpuUnplug(GpuId gpu)
         // Promote the lowest-id surviving replica to primary: its
         // frame becomes the authoritative copy and its existing
         // read-only local mapping stays servable.
+        const Pfn survivorPfn = _pages.at(vpn).takeReplica(survivor);
         Pte *pte = _hostPt.find(vpn);
         _gpuMem[gpu].release(pte->pfn());
-        pm.replicaFrames.erase(survivor);
         Pte &fresh = _hostPt.install(vpn, survivorPfn, true);
         if (_dir)
             _dir->markAccess(fresh, survivor, vpn);
@@ -911,7 +897,6 @@ UvmDriver::abortMigration(Vpn vpn, std::size_t windowIdx)
     IDYLL_ASSERT(it != _migrations.end(), "no migration to abort");
     Migration op = std::move(it->second);
     _migrations.erase(it);
-    meta(vpn).migrating = false;
     _stats.abortedMigrations.inc();
     ++_recoveries[windowIdx].abortedMigrations;
     if (op.recovery)
@@ -958,7 +943,6 @@ UvmDriver::onMappingRegistered(GpuId gpu, Vpn vpn)
     }
     if (_vmDir)
         _vmDir->setBit(vpn, gpu);
-    meta(vpn).everAccessedMask |= (1ull << gpu);
 }
 
 std::size_t

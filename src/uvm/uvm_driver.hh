@@ -17,7 +17,6 @@
 #define IDYLL_UVM_UVM_DRIVER_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -96,12 +95,29 @@ struct RecoveryWindow
     std::uint64_t pendingOps = 0;       ///< open re-home migrations
 };
 
-/** Per-page driver bookkeeping beyond the host PTE. */
-struct PageMeta
+/**
+ * Per-page driver state beyond the host PTE. A record is created when
+ * the page first gets a read replica or an invalidation round, and is
+ * never erased.
+ */
+struct HostPage
 {
-    std::uint64_t everAccessedMask = 0; ///< GPUs that ever faulted
-    std::unordered_map<GpuId, Pfn> replicaFrames;
-    bool migrating = false;
+    struct Replica
+    {
+        GpuId gpu = 0;
+        Pfn pfn = 0;
+    };
+    /** Read-replica frames, at most one per GPU, in ascending GPU order. */
+    std::vector<Replica> replicas;
+    /** Last invalidation round issued; rounds start at 1, never reset. */
+    std::uint32_t invalRound = 0;
+
+    /** @return @p gpu's replica, or nullptr if it holds none. */
+    const Replica *replicaOf(GpuId gpu) const;
+    /** Record @p gpu's new replica frame (it must hold none). */
+    void addReplica(GpuId gpu, Pfn pfn);
+    /** Remove @p gpu's replica (it must hold one); @return its frame. */
+    Pfn takeReplica(GpuId gpu);
 };
 
 /** The UVM driver. */
@@ -135,18 +151,6 @@ class UvmDriver : public DriverItf
 
     /** Attach the latency scoreboard (fault + invalidation phases). */
     void setLatency(LatencyScoreboard *latency) { _latency = latency; }
-
-    /**
-     * Test-only mutation hook: targets for which the predicate returns
-     * true are silently removed from every invalidation round. Used by
-     * tests/test_integrity.cc to prove the oracle catches a suppressed
-     * directory invalidation.
-     */
-    void
-    suppressInvalTargetsForTest(std::function<bool(GpuId, Vpn)> pred)
-    {
-        _invalSuppressor = std::move(pred);
-    }
 
     // --- device-loss fault domain -------------------------------------
     /**
@@ -186,20 +190,12 @@ class UvmDriver : public DriverItf
     void onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
                     bool wasValid) override;
     void onMappingRegistered(GpuId gpu, Vpn vpn) override;
-    void recordAccessBulk(GpuId gpu, Vpn vpn,
-                          std::uint64_t count) override;
 
     // --- introspection -------------------------------------------------
     RadixPageTable &hostPageTable() { return _hostPt; }
     const DriverStats &stats() const { return _stats; }
     const InPteDirectory *inPteDirectory() const { return _dir.get(); }
     const VmDirectory *vmDirectory() const { return _vmDir.get(); }
-
-    /**
-     * Accesses grouped by how many distinct GPUs touched the page over
-     * the whole run (Figure 4). Index k = pages shared by k+1 GPUs.
-     */
-    std::vector<std::uint64_t> accessesBySharingDegree() const;
 
     /** Pages resident per GPU at end of run. */
     std::uint64_t residentPages(GpuId gpu) const;
@@ -256,7 +252,8 @@ class UvmDriver : public DriverItf
     void maybeStartTransfer(Vpn vpn);
     void finishMigration(Vpn vpn, std::uint64_t opId);
     void replayBlocked(std::vector<FaultRecord> faults);
-    PageMeta &meta(Vpn vpn);
+    /** @return @p vpn's record, or an empty one; never inserts. */
+    const HostPage &hostPage(Vpn vpn) const;
 
     // --- device-loss recovery helpers ---------------------------------
     /** Start a host-sourced re-home migration for @p vpn. */
@@ -279,15 +276,13 @@ class UvmDriver : public DriverItf
     std::unique_ptr<VmDirectory> _vmDir;
 
     WorkerPool _workers;
+    /** In-flight ops; each is erased when it finishes or aborts. */
     std::unordered_map<Vpn, Migration> _migrations;
-    std::unordered_map<Vpn, PageMeta> _pages;
-    std::unordered_map<Vpn, std::vector<std::uint64_t>> _accessCounts;
-    std::unordered_map<Vpn, std::uint32_t> _invalRounds;
+    std::unordered_map<Vpn, HostPage> _pages;
 
     TranslationOracle *_oracle = nullptr;
     Tracer *_tracer = nullptr;
     LatencyScoreboard *_latency = nullptr;
-    std::function<bool(GpuId, Vpn)> _invalSuppressor;
 
     // --- device-loss fault domain ---------------------------------
     std::uint64_t _deadMask = 0;

@@ -105,5 +105,24 @@ TEST(Results, CollectedFieldsAreInternallyConsistent)
                 r.demandMissLatencyTotal * 1e-9 + 1.0);
 }
 
+TEST(Results, SharingBucketsTrackAccesses)
+{
+    SystemConfig cfg; // 4 GPUs
+    cfg.cusPerGpu = 2;
+    cfg.warpsPerCu = 2;
+    MultiGpuSystem sys(cfg);
+    const VAddr page42 = VAddr{42} << cfg.pageBits;
+    const VAddr page99 = VAddr{99} << cfg.pageBits;
+    sys.gpu(0).access(0, page42, false);
+    sys.gpu(0).access(0, page42, false);
+    sys.gpu(1).access(0, page42, false);
+    sys.gpu(2).access(0, page99, false);
+    sys.eventQueue().run();
+    auto buckets = sys.collectResults("custom").sharingBuckets;
+    ASSERT_EQ(buckets.size(), 4u);
+    EXPECT_EQ(buckets[0], 1u); // one access to the 1-GPU page (99)
+    EXPECT_EQ(buckets[1], 3u); // three accesses to the 2-GPU page (42)
+}
+
 } // namespace
 } // namespace idyll

@@ -338,12 +338,11 @@ TEST(IntegrityE2EDeath, SuppressedInvalidationCaughtByOracle)
             SystemConfig cfg = smallConfig("baseline");
             cfg.migrationPolicy = MigrationPolicy::OnTouch;
             cfg.integrity.oracle = true;
-            MultiGpuSystem system(cfg);
             // Mutation: the driver silently skips every invalidation
             // aimed at GPU 0 -- exactly the under-invalidation bug
             // class the oracle exists to catch.
-            system.driver().suppressInvalTargetsForTest(
-                [](GpuId g, Vpn) { return g == 0; });
+            cfg.integrity.suppressInvalGpuForTest = 0;
+            MultiGpuSystem system(cfg);
             system.run(Workload::byName("KM", kSmokeScale));
         },
         "under-invalidation");

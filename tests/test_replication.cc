@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/cli.hh"
 #include "harness/system.hh"
 
 namespace idyll
@@ -123,6 +124,24 @@ TEST(Replication, WriteToUnreplicatedRemotePageStaysRemote)
     // Ownership never moved.
     EXPECT_EQ(sys.driver().residentPages(0), 1u);
     EXPECT_EQ(sys.driver().residentPages(1), 0u);
+}
+
+TEST(Replication, RacingReadFaultsReuseTheReplicaFrame)
+{
+    // Two read faults in flight for one (GPU, page) once made each
+    // other's replica grant stale, so every delivery re-faulted into a
+    // fresh frame until the GPU ran out of memory. With the oracle on,
+    // the run must also stay translation-coherent.
+    CliParse parsed =
+        parseCli({"--app", "PR", "--scheme", "replication", "--gpus",
+                  "8", "--scale", "0.05", "--oracle"});
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const CliOptions &opts = *parsed.options;
+    MultiGpuSystem sys(opts.config);
+    const SimResults r = sys.run(Workload::byName(opts.app, opts.scale));
+    EXPECT_EQ(r.accesses, r.localAccesses + r.remoteAccesses);
+    EXPECT_GT(sys.driver().stats().replications.value(), 0u);
+    EXPECT_GT(sys.oracle()->checks(), 0u);
 }
 
 } // namespace

@@ -308,17 +308,5 @@ TEST_F(DriverFixture, DroppedAckRecoveredByRetry)
     EXPECT_TRUE(gpus[1]->hasValidMapping(12));
 }
 
-TEST_F(DriverFixture, SharingDegreeTracksAccesses)
-{
-    driver->recordAccessBulk(0, 42, 1);
-    driver->recordAccessBulk(0, 42, 1);
-    driver->recordAccessBulk(1, 42, 1);
-    driver->recordAccessBulk(2, 99, 1);
-    auto buckets = driver->accessesBySharingDegree();
-    ASSERT_EQ(buckets.size(), 4u);
-    EXPECT_EQ(buckets[0], 1u); // one access to the 1-GPU page (99)
-    EXPECT_EQ(buckets[1], 3u); // three accesses to the 2-GPU page (42)
-}
-
 } // namespace
 } // namespace idyll
