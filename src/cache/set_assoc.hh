@@ -17,8 +17,10 @@
 #ifndef IDYLL_CACHE_SET_ASSOC_HH
 #define IDYLL_CACHE_SET_ASSOC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,14 +40,17 @@ namespace idyll
 template <typename Key, typename Value>
 class SetAssocArray
 {
+    static_assert(std::is_unsigned_v<Key>, "keys are unsigned integers");
+
   public:
     /**
      * @param entries total entry count (must be a multiple of ways).
      * @param ways    associativity; ways == entries gives full assoc.
      */
     SetAssocArray(std::uint32_t entries, std::uint32_t ways)
-        : _ways(ways), _sets(ways ? entries / ways : 0), _keys(entries),
-          _meta(entries), _lastUse(entries), _values(entries)
+        : _ways(ways), _sets(ways ? entries / ways : 0),
+          _keys(entries, kNoKey), _use(entries, kInvalidUse),
+          _values(entries)
     {
         IDYLL_ASSERT(ways > 0 && entries > 0, "empty cache geometry");
         IDYLL_ASSERT(entries % ways == 0,
@@ -97,11 +102,10 @@ class SetAssocArray
         if (i == kNone)
             return nullptr;
         if (touch) {
-            _lastUse[i] = ++_clock;
-            Meta &m = _meta[i];
-            if (_pred && m.deadHint && !m.reused)
+            const std::uint64_t use = _use[i];
+            if (_pred && (use & kDeadHint) && !(use & kReused))
                 _pred->trainHitOnDeadHint(static_cast<std::uint64_t>(key));
-            m.reused = true;
+            _use[i] = nextStamp() | (use & kDeadHint) | kReused;
         }
         return &_values[i];
     }
@@ -127,43 +131,20 @@ class SetAssocArray
         const std::uint32_t set = setOf(key);
         if (const std::size_t i = find(set, key); i != kNone) {
             _values[i] = std::move(value);
-            _lastUse[i] = ++_clock;
-            _meta[i].reused = true;
+            _use[i] = nextStamp() | (_use[i] & kDeadHint) | kReused;
             return std::nullopt;
         }
-        const std::size_t victim = victimOf(set);
-        Meta &m = _meta[victim];
-        std::optional<std::pair<Key, Value>> displaced;
-        if (m.valid) {
-            if (_pred) {
-                _pred->trainEviction(
-                    static_cast<std::uint64_t>(_keys[victim]), m.reused);
-            }
-            if (!m.reused)
-                _deadEvictions.inc();
-            if (evictedReused)
-                *evictedReused = m.reused;
-            displaced.emplace(_keys[victim], std::move(_values[victim]));
-        } else {
-            ++_valid;
-        }
-        m.valid = true;
-        m.reused = false;
-        m.deadHint =
-            _pred && _pred->predictDead(static_cast<std::uint64_t>(key));
-        _keys[victim] = key;
-        _values[victim] = std::move(value);
-        if (m.deadHint) {
-            // LIP: a predicted-dead entry enters at the LRU position,
-            // so it is the set's next victim unless it proves itself
-            // with a hit. Ties between dead insertions are broken by
-            // way order — deterministic.
-            _lastUse[victim] = 0;
-            _deadInserts.inc();
-        } else {
-            _lastUse[victim] = ++_clock;
-        }
-        return displaced;
+        return place(set, key, std::move(value), evictedReused);
+    }
+
+    /**
+     * insert() for a key the caller knows is absent (an index proved
+     * it), skipping the tag scan. Same placement as insert().
+     */
+    std::optional<std::pair<Key, Value>>
+    insertAbsent(Key key, Value value, bool *evictedReused = nullptr)
+    {
+        return place(setOf(key), key, std::move(value), evictedReused);
     }
 
     /** Remove an entry if present. @return true if it existed. */
@@ -173,8 +154,7 @@ class SetAssocArray
         const std::size_t i = find(key);
         if (i == kNone)
             return false;
-        _meta[i].valid = false;
-        --_valid;
+        invalidate(i);
         return true;
     }
 
@@ -182,8 +162,8 @@ class SetAssocArray
     void
     flushAll()
     {
-        for (Meta &m : _meta)
-            m.valid = false;
+        std::fill(_keys.begin(), _keys.end(), kNoKey);
+        std::fill(_use.begin(), _use.end(), kInvalidUse);
         _valid = 0;
     }
 
@@ -196,10 +176,9 @@ class SetAssocArray
     flushIf(Pred pred)
     {
         std::uint32_t removed = 0;
-        for (std::size_t i = 0; i < _meta.size(); ++i) {
-            if (_meta[i].valid && pred(_keys[i])) {
-                _meta[i].valid = false;
-                --_valid;
+        for (std::size_t i = 0; i < _keys.size(); ++i) {
+            if (_keys[i] != kNoKey && pred(_keys[i])) {
+                invalidate(i);
                 ++removed;
             }
         }
@@ -211,25 +190,35 @@ class SetAssocArray
     void
     forEach(Fn fn) const
     {
-        for (std::size_t i = 0; i < _meta.size(); ++i)
-            if (_meta[i].valid)
+        for (std::size_t i = 0; i < _keys.size(); ++i)
+            if (_keys[i] != kNoKey)
                 fn(_keys[i], _values[i]);
     }
 
   private:
-    /**
-     * Per-line state other than the tag, value and recency. Lines are
-     * stored as parallel arrays so a set's tag scan reads only the
-     * tags (a 32-way set is four cache lines, not twenty).
-     */
-    struct Meta
-    {
-        bool valid = false;
-        bool reused = false;   ///< re-referenced since insertion
-        bool deadHint = false; ///< inserted under a dead prediction
-    };
-
     static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** Tag of an invalid way; insert() refuses it as a key. */
+    static constexpr Key kNoKey = ~Key{0};
+
+    /**
+     * One recency word per way: a stamp above two flag bits. The
+     * stamps order every way in one array: invalid ways (word 0) sort
+     * first, predicted-dead insertions (LIP, stamp 1) next, then valid
+     * ways by last touch (the clock starts above both). The flags are
+     * the rest of a line's replacement state, so a hit or an eviction
+     * reads no other array, and lines are parallel arrays: a set's
+     * tag scan reads only tags (a 32-way set is four cache lines) and
+     * a victim search only recency words.
+     */
+    static constexpr std::uint64_t kReused = 1;   ///< touched since fill
+    static constexpr std::uint64_t kDeadHint = 2; ///< filled as dead
+    static constexpr std::uint32_t kFlagBits = 2;
+    static constexpr std::uint64_t kInvalidUse = 0;
+    static constexpr std::uint64_t kDeadUse = (1 << kFlagBits) | kDeadHint;
+
+    /** A fresh stamp for a touched or filled way, flags clear. */
+    std::uint64_t nextStamp() { return ++_clock << kFlagBits; }
 
     std::uint32_t
     setOf(Key key) const
@@ -245,6 +234,7 @@ class SetAssocArray
     /**
      * Replacement victim in @p set: the first invalid way, else the
      * least recently used way (the first of equals). The recency
+     * encoding makes that the first minimum of one array. The
      * comparison is a select, not a branch: which way is older is a
      * coin flip the branch predictor cannot learn.
      */
@@ -252,16 +242,61 @@ class SetAssocArray
     victimOf(std::uint32_t set) const
     {
         const std::size_t base = set * std::size_t{_ways};
-        std::size_t victim = base;
+        const std::uint64_t *use = _use.data() + base;
+        std::size_t victim = 0;
         std::uint64_t oldest = ~std::uint64_t{0};
-        for (std::size_t i = base; i < base + _ways; ++i) {
-            if (!_meta[i].valid)
-                return i;
-            const bool older = _lastUse[i] < oldest;
-            oldest = older ? _lastUse[i] : oldest;
-            victim = older ? i : victim;
+        for (std::uint32_t w = 0; w < _ways; ++w) {
+            if (use[w] == kInvalidUse)
+                return base + w;
+            const bool older = use[w] < oldest;
+            oldest = older ? use[w] : oldest;
+            victim = older ? w : victim;
         }
-        return victim;
+        return base + victim;
+    }
+
+    /** Put @p key (absent from @p set) into the set's victim way. */
+    std::optional<std::pair<Key, Value>>
+    place(std::uint32_t set, Key key, Value value, bool *evictedReused)
+    {
+        IDYLL_ASSERT(key != kNoKey, "key reserved for invalid ways");
+        const std::size_t victim = victimOf(set);
+        std::optional<std::pair<Key, Value>> displaced;
+        if (_keys[victim] != kNoKey) {
+            const bool reused = (_use[victim] & kReused) != 0;
+            if (_pred) {
+                _pred->trainEviction(
+                    static_cast<std::uint64_t>(_keys[victim]), reused);
+            }
+            if (!reused)
+                _deadEvictions.inc();
+            if (evictedReused)
+                *evictedReused = reused;
+            displaced.emplace(_keys[victim], std::move(_values[victim]));
+        } else {
+            ++_valid;
+        }
+        _keys[victim] = key;
+        _values[victim] = std::move(value);
+        if (_pred && _pred->predictDead(static_cast<std::uint64_t>(key))) {
+            // LIP: a predicted-dead entry enters at the LRU position,
+            // so it is the set's next victim unless it proves itself
+            // with a hit. Ties between dead insertions are broken by
+            // way order — deterministic.
+            _use[victim] = kDeadUse;
+            _deadInserts.inc();
+        } else {
+            _use[victim] = nextStamp();
+        }
+        return displaced;
+    }
+
+    void
+    invalidate(std::size_t i)
+    {
+        _keys[i] = kNoKey;
+        _use[i] = kInvalidUse;
+        --_valid;
     }
 
     /** Line index of the valid line holding @p key, or kNone. */
@@ -270,14 +305,13 @@ class SetAssocArray
     std::size_t
     find(std::uint32_t set, Key key) const
     {
+        // Invalid ways hold kNoKey, which no lookup asks for, so the
+        // scan reads the tags alone.
         const std::size_t base = set * std::size_t{_ways};
         const Key *keys = _keys.data() + base;
-        for (std::uint32_t w = 0; w < _ways; ++w) {
-            // A stale tag may linger in an invalid way; check validity
-            // only on a tag match.
-            if (keys[w] == key && _meta[base + w].valid)
+        for (std::uint32_t w = 0; w < _ways; ++w)
+            if (keys[w] == key)
                 return base + w;
-        }
         return kNone;
     }
 
@@ -286,10 +320,10 @@ class SetAssocArray
     /** _sets - 1 when _sets is a power of two, else 0 (modulo path). */
     std::uint32_t _setMask = 0;
     std::uint32_t _valid = 0;
-    std::uint64_t _clock = 0;
+    /** Last stamp handed out; starts above the dead stamp (1). */
+    std::uint64_t _clock = 1;
     std::vector<Key> _keys;
-    std::vector<Meta> _meta;
-    std::vector<std::uint64_t> _lastUse;
+    std::vector<std::uint64_t> _use;
     std::vector<Value> _values;
     ReusePredictor *_pred = nullptr;
     Counter _deadInserts;

@@ -14,7 +14,6 @@ Irmb::Irmb(const IrmbConfig &cfg, const AddrLayout &layout)
                  "IRMB geometry must be nonzero");
     for (MergedEntry &entry : _entries)
         entry.offsets.reserve(cfg.offsetsPerBase);
-    _baseIndex.reserve(cfg.bases);
 }
 
 Irmb::MergedEntry *
@@ -27,10 +26,10 @@ Irmb::findBase(std::uint64_t base)
 const Irmb::MergedEntry *
 Irmb::findBase(std::uint64_t base) const
 {
-    auto it = _baseIndex.find(base);
-    if (it == _baseIndex.end())
+    const std::uint32_t *index = _baseIndex.find(base);
+    if (!index)
         return nullptr;
-    const MergedEntry &entry = _entries[it->second];
+    const MergedEntry &entry = _entries[*index];
     IDYLL_ASSERT(entry.valid && entry.base == base,
                  "stale IRMB base index");
     return &entry;
@@ -99,7 +98,7 @@ Irmb::insert(Vpn vpn)
             entry.offsets.clear();
             entry.offsets.push_back(offset);
             entry.lastUse = ++_clock;
-            _baseIndex.emplace(base, static_cast<std::uint32_t>(i));
+            _baseIndex.insert(base, static_cast<std::uint32_t>(i));
             IDYLL_TRACE(_tracer, IrmbInsert, _gpu, vpn);
             return std::nullopt;
         }
@@ -112,7 +111,7 @@ Irmb::insert(Vpn vpn)
     Batch batch = flushEntry(*victim);
     IDYLL_TRACE(_tracer, IrmbEvict, _gpu, vpn, batch.size());
     _baseIndex.erase(victim->base);
-    _baseIndex.emplace(
+    _baseIndex.insert(
         base, static_cast<std::uint32_t>(victim - _entries.data()));
     victim->base = base;
     victim->offsets.push_back(offset);

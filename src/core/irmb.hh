@@ -24,11 +24,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/addr.hh"
 #include "sim/config.hh"
+#include "sim/flat_vpn_map.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -137,7 +137,7 @@ class Irmb
      * every L2 TLB access) are O(1) instead of O(bases). Maintained at
      * every point an entry is claimed, evicted, drained, or emptied.
      */
-    std::unordered_map<std::uint64_t, std::uint32_t> _baseIndex;
+    FlatVpnMap<std::uint32_t> _baseIndex;
     std::uint64_t _clock = 0;
     IrmbStats _stats;
     Tracer *_tracer = nullptr;

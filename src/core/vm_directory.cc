@@ -24,10 +24,8 @@ VmDirectory::cached(Vpn vpn, bool &hit)
 
     // Miss: read (or create) the VM-Table entry, allocate in the
     // cache, and write back whatever the allocation displaces.
-    std::uint32_t bits = 0;
-    auto it = _table.find(vpn);
-    if (it != _table.end())
-        bits = it->second;
+    const std::uint32_t *held = _table.find(vpn);
+    const std::uint32_t bits = held ? *held : 0;
     auto displaced = _cache.insert(vpn, bits);
     if (displaced) {
         _table[displaced->first] = displaced->second;
@@ -115,12 +113,12 @@ VmDirectory::scrubGpu(GpuId deadGpu, std::uint64_t deadMask)
     }
 
     // Then the backing VM-Table entries not resident in the cache.
-    for (auto &[vpn, bits] : _table) {
+    _table.forEach([&](Vpn vpn, std::uint32_t &bits) {
         if ((bits & bit) && !_cache.peek(vpn)) {
             bits &= ~bit;
             ++cleared;
         }
-    }
+    });
 
     _stats.scrubbedBits.inc(cleared);
     return cleared;

@@ -13,11 +13,11 @@
 #define IDYLL_CORE_VM_DIRECTORY_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/set_assoc.hh"
 #include "sim/config.hh"
+#include "sim/flat_vpn_map.hh"
 #include "sim/metrics.hh"
 #include "sim/types.hh"
 
@@ -103,7 +103,7 @@ class VmDirectory
     VmCacheConfig _cfg;
     std::uint32_t _numGpus;
     SetAssocArray<Vpn, std::uint32_t> _cache;
-    std::unordered_map<Vpn, std::uint32_t> _table;
+    FlatVpnMap<std::uint32_t> _table;
     VmDirectoryStats _stats;
 };
 

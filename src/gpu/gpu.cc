@@ -67,13 +67,24 @@ Gpu::hasValidMapping(Vpn vpn) const
     return !_dead && _localPt.findValid(vpn) && !pendingInvalid(vpn);
 }
 
+const Gpu::VpnState &
+Gpu::vpnState(Vpn vpn) const
+{
+    static const VpnState kNone;
+    const VpnState *state = _vpns.find(vpn);
+    return state ? *state : kNone;
+}
+
 bool
 Gpu::pendingInvalid(Vpn vpn) const
 {
-    if (_irmb && _irmb->contains(vpn))
-        return true;
-    auto it = _vpns.find(vpn);
-    return it != _vpns.end() && it->second.writebackInFlight;
+    return pendingInvalid(vpn, vpnState(vpn));
+}
+
+bool
+Gpu::pendingInvalid(Vpn vpn, const VpnState &state) const
+{
+    return (_irmb && _irmb->contains(vpn)) || state.writebackInFlight;
 }
 
 bool
@@ -100,20 +111,23 @@ Gpu::access(std::uint32_t cu, VAddr va, bool write)
     _stats.accesses.inc();
     const Vpn vpn = _layout.vpnOf(va);
     IDYLL_ASSERT(_driver, "GPU not connected to a driver");
+    // The page record and the TLB probe miss the cache independently:
+    // start loading the first before walking the second.
+    _vpns.prefetch(vpn);
+    TlbProbeResult probe = _tlbs.probe(cu, vpn);
     // Tallied locally; the harness folds the totals into Figure 4's
     // sharing-degree buckets (forEachAccessTally) — a per-access
     // driver call would be a cross-shard access on the hottest path.
     VpnState &state = _vpns[vpn];
     ++state.accessTally;
 
-    TlbProbeResult probe = _tlbs.probe(cu, vpn);
     if (probe.hit && (!write || probe.entry.writable)) {
         // Skipped while an install walk is in flight, as in
         // completeTranslation: the oracle's shadow state lags the PTE.
         if (_oracle && state.installsInFlight == 0)
             _oracle->onServeFromLocalPte(_id, vpn, probe.entry.pfn,
                                          write);
-        dataAccess(cu, vpn, probe.entry.pfn, write, probe.latency);
+        dataAccess(cu, vpn, probe.entry.pfn, write, probe.latency, &state);
         return;
     }
     if (probe.hit) {
@@ -168,7 +182,7 @@ Gpu::handleL2Miss(Vpn vpn, Waiter waiter, bool forceFault)
     // The IRMB is probed in parallel with the L2 TLB; a hit means the
     // local PTE is stale, so the walk is bypassed and the far fault
     // goes straight to the driver. So does a write-back in flight.
-    const VpnState &state = _vpns[vpn];
+    const VpnState &state = vpnState(vpn);
     if ((_irmb && _irmb->lookup(vpn)) || state.writebackInFlight) {
         _stats.irmbBypassedWalks.inc();
         raiseFarFault(vpn, wants_write, /*skipPrt=*/false);
@@ -206,7 +220,8 @@ Gpu::onDemandWalkDone(Vpn vpn, std::uint32_t epoch,
     // executed yet: the PTE still reads as the pre-invalidation
     // mapping, but serving it would be stale.
     const Pte *pte = _localPt.findValid(vpn);
-    if (pte && !pendingInvalid(vpn) && _vpns[vpn].invalEpoch == epoch) {
+    const VpnState &state = vpnState(vpn);
+    if (pte && !pendingInvalid(vpn, state) && state.invalEpoch == epoch) {
         completeTranslation(vpn, pte->pfn(), pte->writable(),
                             /*requireFresh=*/true);
         return;
@@ -267,7 +282,7 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
     // the walker already wrote the (fresh) PTE at dispatch but the
     // done-callback that updates the oracle's shadow state has not
     // fired yet, so the shadow model lags the physical PTE.
-    if (requireFresh && _oracle && _vpns[vpn].installsInFlight == 0)
+    if (requireFresh && _oracle && vpnState(vpn).installsInFlight == 0)
         _oracle->onServeFromLocalPte(_id, vpn, pfn, /*write=*/false);
     releaseWaiters(vpn, pfn, writable, /*cache=*/true);
 }
@@ -275,7 +290,7 @@ Gpu::completeTranslation(Vpn vpn, Pfn pfn, bool writable,
 void
 Gpu::releaseWaiters(Vpn vpn, Pfn pfn, bool writable, bool cache)
 {
-    const std::vector<Waiter> waiters = _mshr.release(vpn);
+    const auto waiters = _mshr.release(vpn);
     std::vector<Waiter> need_fault;
     const Tick now = _eq.now();
     for (const Waiter &w : waiters) {
@@ -317,7 +332,7 @@ Gpu::drainMissBacklog()
 
 void
 Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
-                Cycles after)
+                Cycles after, VpnState *state)
 {
     if (_dead)
         return;
@@ -353,10 +368,11 @@ Gpu::dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
     // the GPU asks the driver to migrate the page (Section 3.3).
     if (_cfg.migrationPolicy == MigrationPolicy::AccessCounter &&
         !_cfg.pageReplication) {
-        VpnState &state = _vpns[vpn];
-        if (++state.accessCounter >= _cfg.accessCounterThreshold &&
-            !state.migrationRequested) {
-            state.migrationRequested = true;
+        if (!state)
+            state = &_vpns[vpn];
+        if (++state->accessCounter >= _cfg.accessCounterThreshold &&
+            !state->migrationRequested) {
+            state->migrationRequested = true;
             _stats.migRequestsSent.inc();
             _net.send(_id, kHostId, 32, MsgClass::MigrationReq,
                       [driver = _driver, vpn, self = _id] {
@@ -421,16 +437,18 @@ Gpu::receiveInvalidation(Vpn vpn, std::uint32_t round)
     IDYLL_ASSERT(round > 0, "invalidation rounds start at 1");
     if (_dead)
         return; // delivery raced the unplug; the driver self-acks
+    VpnState &state = _vpns[vpn];
     // Necessity is judged at receipt: did this GPU logically hold a
-    // servable mapping when the invalidation landed? The verdict rides
-    // on the ack so the driver never probes the GPU synchronously.
-    const bool wasValid = hasValidMapping(vpn);
+    // servable mapping when the invalidation landed (hasValidMapping)?
+    // The verdict rides on the ack so the driver never probes the GPU
+    // synchronously.
+    const bool wasValid =
+        _localPt.findValid(vpn) && !pendingInvalid(vpn, state);
     // A duplicate (injected or retried after the ack raced the
     // timeout) must be a pure no-op beyond re-acking, or it would
     // perturb counters and epochs. The re-ack carries the verdict
     // remembered from the first delivery — by now the mapping is
     // gone, so re-probing would misclassify.
-    VpnState &state = _vpns[vpn];
     if (round <= state.seenRound) {
         _stats.dupInvalsIgnored.inc();
         // Only re-ack an invalidation that has actually been applied.
@@ -551,9 +569,9 @@ void
 Gpu::markInvalApplied(Vpn vpn, std::uint32_t round)
 {
     // An unplug since receipt reset seenRound: nothing to mark.
-    VpnState &state = _vpns[vpn];
-    if (state.seenRound == round)
-        state.seenApplied = true;
+    VpnState *state = _vpns.find(vpn);
+    if (state && state->seenRound == round)
+        state->seenApplied = true;
 }
 
 void
@@ -659,6 +677,8 @@ Gpu::installMapping(Vpn vpn, Pfn pfn, bool writable)
 {
     VpnState &state = _vpns[vpn];
     const std::uint32_t epoch = state.invalEpoch;
+    IDYLL_ASSERT(state.installsInFlight < 0xFFFF,
+                 "install walks in flight overflow for vpn ", vpn);
     ++state.installsInFlight;
     WalkRequest req;
     req.kind = WalkKind::Update;
@@ -833,8 +853,9 @@ Gpu::unplug()
         _irmb->scrubAll();
     // The access tally survives: the quiesce replay still counts the
     // accesses made before the unplug.
-    for (auto &[vpn, state] : _vpns)
+    _vpns.forEach([](Vpn, VpnState &state) {
         state = VpnState{.accessTally = state.accessTally};
+    });
 }
 
 void
@@ -865,8 +886,9 @@ Gpu::dumpDiagnostics(std::ostream &os) const
         return;
     }
     std::size_t writebacks = 0;
-    for (const auto &[vpn, state] : _vpns)
+    _vpns.forEach([&writebacks](Vpn, const VpnState &state) {
         writebacks += state.writebackInFlight;
+    });
     os << "gpu " << _id << ": " << _doneCus << "/" << _cus.size()
        << " CUs done, mshr " << _mshr.size() << ", backlog "
        << _missBacklog.size() << ", walk queue " << _gmmu.queueDepth()

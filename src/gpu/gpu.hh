@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/mshr.hh"
@@ -26,6 +25,7 @@
 #include "mem/page_table.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_vpn_map.hh"
 #include "sim/latency.hh"
 #include "sim/metrics.hh"
 #include "tlb/tlb.hh"
@@ -175,10 +175,14 @@ class Gpu : public GpuItf
     void
     forEachAccessTally(Fn &&fn) const
     {
-        for (const auto &[vpn, state] : _vpns)
+        _vpns.forEach([&fn](Vpn vpn, const VpnState &state) {
             if (state.accessTally != 0)
                 fn(vpn, state.accessTally);
+        });
     }
+
+    /** Pages with a record: a bound on what forEachAccessTally visits. */
+    std::size_t trackedPages() const { return _vpns.size(); }
 
     /**
      * A retired (ever-unplugged) GPU counts as done: its CU streams'
@@ -198,6 +202,8 @@ class Gpu : public GpuItf
     void dumpDiagnostics(std::ostream &os) const;
 
   private:
+    struct VpnState; // per-page record, defined with the tables below
+
     struct Waiter
     {
         std::uint32_t cu = 0;
@@ -229,8 +235,13 @@ class Gpu : public GpuItf
      *        but nothing is cached).
      */
     void releaseWaiters(Vpn vpn, Pfn pfn, bool writable, bool cache);
+    /**
+     * Deliver the data of an access whose translation is @p pfn.
+     * @param state @p vpn's record when the caller already holds it
+     *        (saves the lookup the remote-access counter needs).
+     */
     void dataAccess(std::uint32_t cu, Vpn vpn, Pfn pfn, bool write,
-                    Cycles after);
+                    Cycles after, VpnState *state = nullptr);
     /** NACK: count a dead-home retry, re-issue after @p delay. */
     void retryAccess(std::uint32_t cu, VAddr va, bool write, Cycles delay);
     /** The data of an access from @p cu has been delivered. */
@@ -245,6 +256,8 @@ class Gpu : public GpuItf
 
     /** Logically stale: buffered in the IRMB or being written back. */
     bool pendingInvalid(Vpn vpn) const;
+    /** pendingInvalid() given @p vpn's record. */
+    bool pendingInvalid(Vpn vpn, const VpnState &state) const;
 
     /** Does any MSHR waiter for @p vpn want write permission? */
     bool mshrWantsWrite(Vpn vpn) const;
@@ -273,16 +286,17 @@ class Gpu : public GpuItf
 
     /**
      * Everything this GPU tracks about one page besides its PTE and
-     * TLB entries (DESIGN.md §3). An entry is created on the first
-     * access or protocol message for the page and never erased;
-     * unplug() resets every field except accessTally.
+     * TLB entries (DESIGN.md §3). A record is created by the first
+     * access or protocol message that writes it and is never erased;
+     * read paths look it up with find() and treat a missing record as
+     * all zero. unplug() resets every field except accessTally. The
+     * fields are packed into 24 bytes, so a FlatVpnMap slot is 32.
      */
     struct VpnState
     {
         std::uint64_t accessTally = 0;      ///< accesses (quiesce replay)
         std::uint32_t accessCounter = 0;    ///< migration trigger count
         std::uint32_t invalEpoch = 0;       ///< invalidations received
-        std::uint32_t installsInFlight = 0; ///< update walks not done
         /** Last invalidation round delivered (0: none), its necessity
          *  verdict, and whether it was applied. A duplicate re-acks
          *  with the remembered verdict, and only once applied: under
@@ -290,15 +304,20 @@ class Gpu : public GpuItf
          *  queued for a long time, and re-acking earlier would
          *  complete the round while the PTE is still live. */
         std::uint32_t seenRound = 0;
-        bool seenWasValid = false;
-        bool seenApplied = false;
-        bool migrationRequested = false; ///< counter already fired
-        bool writebackInFlight = false;  ///< IRMB write-back walk queued
+        bool seenWasValid : 1 = false;
+        bool seenApplied : 1 = false;
+        bool migrationRequested : 1 = false; ///< counter already fired
+        bool writebackInFlight : 1 = false;  ///< IRMB write-back queued
+        std::uint16_t installsInFlight = 0;  ///< update walks not done
     };
+    static_assert(sizeof(VpnState) == 24, "VpnState must stay 24 bytes");
+
+    /** @return @p vpn's record, or an all-zero one; never inserts. */
+    const VpnState &vpnState(Vpn vpn) const;
 
     MshrFile<Vpn, Waiter> _mshr;
     std::deque<BackloggedMiss> _missBacklog;
-    std::unordered_map<Vpn, VpnState> _vpns;
+    FlatVpnMap<VpnState> _vpns;
 
     TranslationOracle *_oracle = nullptr;
     Tracer *_tracer = nullptr;

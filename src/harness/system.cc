@@ -7,8 +7,8 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 
+#include "sim/flat_vpn_map.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -626,16 +626,20 @@ MultiGpuSystem::collectResults(const std::string &app) const
         std::uint64_t gpuMask = 0;
         std::uint64_t accesses = 0;
     };
-    std::unordered_map<Vpn, Sharing> sharing;
-    for (const auto &gpu : _gpus)
+    FlatVpnMap<Sharing> sharing;
+    for (const auto &gpu : _gpus) {
+        // A GPU visits its pages in hash order (FlatVpnMap::reserve).
+        sharing.reserve(sharing.size() + gpu->trackedPages());
         gpu->forEachAccessTally([&](Vpn vpn, std::uint64_t count) {
             Sharing &page = sharing[vpn];
             page.gpuMask |= 1ull << gpu->id();
             page.accesses += count;
         });
+    }
     r.sharingBuckets.assign(_cfg.numGpus, 0);
-    for (const auto &[vpn, page] : sharing)
+    sharing.forEach([&r](Vpn, const Sharing &page) {
         r.sharingBuckets[std::popcount(page.gpuMask) - 1] += page.accesses;
+    });
     r.networkBytes = _net.totalBytes();
 
     if (_hostSeconds > 0.0) {
@@ -735,6 +739,13 @@ MultiGpuSystem::buildMetrics(bool runTelemetry) const
     driver.registerCounter("rehomedPages", &ds.rehomedPages);
     driver.registerCounter("replicasPromoted", &ds.replicasPromoted);
     driver.registerCounter("orphanShootdowns", &ds.orphanShootdowns);
+    driver.registerCounter("duplicateMigrationRequests",
+                           &ds.duplicateMigrationRequests);
+    driver.registerCounter("duplicateAcks", &ds.duplicateAcks);
+    driver.registerCounter("staleAcks", &ds.staleAcks);
+    driver.registerCounter("quarantinedMessages", &ds.quarantinedMessages);
+    driver.registerCounter("invalSelfAcks", &ds.invalSelfAcks);
+    driver.registerAvg("hostWalkLatency", &ds.hostWalkLatency);
     driver.registerAvg("migrationWait", &ds.migrationWait);
     driver.registerAvg("migrationTotal", &ds.migrationTotal);
     driver.registerAvg("faultResolveLatency", &ds.faultResolveLatency);

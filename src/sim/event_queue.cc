@@ -111,6 +111,26 @@ EventQueue::cancelKeepalives()
         drop(entry.node);
 }
 
+void
+EventQueue::sortBucket(std::size_t slot)
+{
+    Bucket &bucket = _wheel[slot];
+    _sortNodes.clear();
+    for (Node *node = bucket.head; node; node = node->next)
+        _sortNodes.push_back(node);
+    std::sort(_sortNodes.begin(), _sortNodes.end(),
+              [](const Node *a, const Node *b) {
+                  return a->key != b->key ? a->key < b->key
+                                          : a->seq < b->seq;
+              });
+    for (std::size_t i = 0; i + 1 < _sortNodes.size(); ++i)
+        _sortNodes[i]->next = _sortNodes[i + 1];
+    _sortNodes.back()->next = nullptr;
+    bucket.head = _sortNodes.front();
+    bucket.tail = _sortNodes.back();
+    _unsortedBits[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+}
+
 std::size_t
 EventQueue::nextSlotBeyond(std::size_t word)
 {

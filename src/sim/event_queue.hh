@@ -23,13 +23,16 @@
  *    the next kWheelSpan ticks, each an intrusive list threaded
  *    through the pooled nodes and kept in (key, seq) order. Ordinary
  *    events append at the tail in O(1); keepalives and deliveries
- *    walk in past the same-tick deliveries that sort before them. A
- *    two-level occupancy bitmap finds the next non-empty tick with
- *    count-trailing-zeros steps; the run loops hand the node found
- *    straight to dispatch, so each dispatched event costs one scan.
- *    Buckets own no storage: the wheel adds a fixed array of
- *    head/tail pointers per queue, and nodes reuse their free-list
- *    link as the bucket link.
+ *    walk in past the same-tick deliveries that sort before them, for
+ *    at most kMaxWalk nodes. A longer walk appends instead and marks
+ *    the bucket, which is sorted once when it reaches the top, so a
+ *    tick that thousands of lanes deliver to costs one sort, not a
+ *    long walk per delivery. A two-level occupancy bitmap finds the
+ *    next non-empty tick with count-trailing-zeros steps; the run
+ *    loops hand the node found straight to dispatch, so each
+ *    dispatched event costs one scan. Buckets own no storage: the
+ *    wheel adds a fixed array of head/tail pointers per queue, and
+ *    nodes reuse their free-list link as the bucket link.
  *  - Events beyond the wheel's span wait in a binary heap of 32-byte
  *    (tick, key, seq, node*) records. They move into the wheel as the
  *    clock comes within one span of them, before anything else can
@@ -762,31 +765,53 @@ class EventQueue
         return node;
     }
 
-    /** Link @p node into its tick's bucket, in (key, seq) order. */
+    /**
+     * Link @p node into its tick's bucket in (key, seq) order. seq
+     * only grows, so a node whose key sorts last appends. Otherwise it
+     * walks in from the head, but at most kMaxWalk nodes: past that
+     * (or into a bucket already marked) it appends and marks the
+     * bucket for sortBucket().
+     */
     void
     pushWheel(Node *node)
     {
         const std::size_t slot = node->when & kWheelMask;
+        const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
         Bucket &bucket = _wheel[slot];
         node->next = nullptr;
         if (!bucket.head) {
             bucket.head = bucket.tail = node;
-            _slotBits[slot / 64] |= std::uint64_t{1} << (slot % 64);
+            _slotBits[slot / 64] |= bit;
             _wordBits |= std::uint64_t{1} << (slot / 64);
-        } else if (node->key == kNormalEventKey) {
-            // seq only grows, so an ordinary event sorts last.
-            bucket.tail->next = node;
-            bucket.tail = node;
-        } else {
-            Node **link = &bucket.head;
-            while (*link && (*link)->key <= node->key)
-                link = &(*link)->next;
-            node->next = *link;
-            *link = node;
-            if (!node->next)
-                bucket.tail = node;
+            return;
         }
+        if (node->key < bucket.tail->key &&
+            !(_unsortedBits[slot / 64] & bit)) {
+            // The tail sorts after node, so the walk stops by then.
+            Node **link = &bucket.head;
+            std::uint32_t steps = 0;
+            while ((*link)->key <= node->key && ++steps <= kMaxWalk)
+                link = &(*link)->next;
+            if ((*link)->key > node->key) {
+                node->next = *link;
+                *link = node;
+                return;
+            }
+            _unsortedBits[slot / 64] |= bit;
+        }
+        bucket.tail->next = node;
+        bucket.tail = node;
     }
+
+    /**
+     * Longest in-order walk pushWheel() takes. Same-tick buckets are
+     * short in a simulation; a replay that sends thousands of
+     * messages without advancing time is not.
+     */
+    static constexpr std::uint32_t kMaxWalk = 16;
+
+    /** Put bucket @p slot's list in (key, seq) order. */
+    void sortBucket(std::size_t slot);
 
     /**
      * First occupied wheel slot at or after the current tick's, in
@@ -820,9 +845,11 @@ class EventQueue
         for (;;) {
             Node *node;
             const std::size_t slot = nextSlot();
-            if (slot != kWheelSpan)
+            if (slot != kWheelSpan) {
+                if (_unsortedBits[slot / 64] >> (slot % 64) & 1)
+                    sortBucket(slot);
                 node = _wheel[slot].head;
-            else if (!_far.empty())
+            } else if (!_far.empty())
                 node = _far.front().node;
             else
                 return nullptr;
@@ -920,6 +947,10 @@ class EventQueue
      * lazily by the scan that finds the word empty.
      */
     std::uint64_t _wordBits = 0;
+    /** Bit s of word s / 64: slot s's list is out of (key, seq) order. */
+    std::array<std::uint64_t, kWheelWords> _unsortedBits{};
+    /** sortBucket()'s node list, kept to reuse its storage. */
+    std::vector<Node *> _sortNodes;
     /** Events at least kWheelSpan ticks past now. */
     std::vector<HeapEntry> _far;
     /** Tick of the last dispatched non-keepalive event. */

@@ -11,6 +11,9 @@ TlbHierarchy::TlbHierarchy(const SystemConfig &cfg)
     _l1s.reserve(cfg.cusPerGpu);
     for (std::uint32_t cu = 0; cu < cfg.cusPerGpu; ++cu)
         _l1s.emplace_back(cfg.l1Tlb);
+    // Room for every VPN the L1s can hold at once: the index never
+    // rehashes during a run.
+    _l1Residency.reserve(cfg.cusPerGpu * cfg.l1Tlb.entries);
 }
 
 TlbProbeResult
@@ -54,6 +57,11 @@ TlbHierarchy::fill(std::uint32_t cu, Vpn vpn, TlbEntry entry)
         IDYLL_TRACE(_tracer, TlbEvict, _gpu, evicted, kNoCu, 2,
                     reused ? 1 : 0);
     }
+    if (_l1Residency.holds(vpn, cu)) {
+        // Already resident: refreshed in place, nothing is displaced.
+        _l1s[cu].fill(vpn, entry);
+        return;
+    }
     fillL1(cu, vpn, entry);
 }
 
@@ -62,7 +70,7 @@ TlbHierarchy::fillL1(std::uint32_t cu, Vpn vpn, TlbEntry entry)
 {
     _evictScratch.clear();
     bool reused = false;
-    _l1s[cu].fill(vpn, entry, _evictScratch, &reused);
+    _l1s[cu].fillAbsent(vpn, entry, _evictScratch, &reused);
     for (Vpn evicted : _evictScratch) {
         _l1Residency.remove(evicted, cu);
         IDYLL_TRACE(_tracer, TlbEvict, _gpu, evicted, cu, 1,

@@ -57,8 +57,7 @@ class Tlb
             if (_pred)
                 _sub->attachReusePredictor(_pred.get());
         } else {
-            _flat = std::make_unique<SetAssocArray<Vpn, TlbEntry>>(
-                cfg.entries, cfg.ways);
+            _flat.emplace(cfg.entries, cfg.ways);
             if (_pred)
                 _flat->attachReusePredictor(_pred.get());
         }
@@ -116,10 +115,29 @@ class Tlb
             evictedOut.push_back(displaced->first);
     }
 
+    /**
+     * fill() of a translation the caller knows is absent (the L1
+     * residency index proved it), skipping the tag scan. Page-granular
+     * levels only.
+     */
+    void
+    fillAbsent(Vpn vpn, TlbEntry entry, std::vector<Vpn> &evictedOut,
+               bool *evictedReused)
+    {
+        IDYLL_ASSERT(!_sub, "fillAbsent on a sub-entry TLB");
+        if (auto displaced = _flat->insertAbsent(vpn, entry, evictedReused))
+            evictedOut.push_back(displaced->first);
+    }
+
     /** Convenience fill. @return the first displaced VPN, if any. */
     std::optional<Vpn>
     fill(Vpn vpn, TlbEntry entry)
     {
+        if (!_sub) {
+            if (auto displaced = _flat->insert(vpn, entry))
+                return displaced->first;
+            return std::nullopt;
+        }
         std::vector<Vpn> evicted;
         fill(vpn, entry, evicted);
         if (evicted.empty())
@@ -194,7 +212,8 @@ class Tlb
     }
 
   private:
-    std::unique_ptr<SetAssocArray<Vpn, TlbEntry>> _flat;
+    /** Held inline: an L1 probe reaches the tags without a hop. */
+    std::optional<SetAssocArray<Vpn, TlbEntry>> _flat;
     std::unique_ptr<SubEntryTlbArray> _sub;
     std::unique_ptr<ReusePredictor> _pred;
     Cycles _latency;
@@ -271,7 +290,10 @@ class TlbHierarchy
     }
 
   private:
-    /** Fill CU @p cu's L1 and keep the residency index in step. */
+    /**
+     * Fill CU @p cu's L1, which does not hold @p vpn, and keep the
+     * residency index in step.
+     */
     void fillL1(std::uint32_t cu, Vpn vpn, TlbEntry entry);
 
     std::vector<Tlb> _l1s;

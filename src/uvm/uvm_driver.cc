@@ -90,8 +90,16 @@ const HostPage &
 UvmDriver::hostPage(Vpn vpn) const
 {
     static const HostPage kNone;
-    auto it = _pages.find(vpn);
-    return it == _pages.end() ? kNone : it->second;
+    const HostPage *page = _pages.find(vpn);
+    return page ? *page : kNone;
+}
+
+HostPage &
+UvmDriver::existingPage(Vpn vpn)
+{
+    HostPage *page = _pages.find(vpn);
+    IDYLL_ASSERT(page, "no host page record for vpn ", vpn);
+    return *page;
 }
 
 std::uint64_t
@@ -122,14 +130,13 @@ UvmDriver::serviceFault(FaultRecord fault)
     IDYLL_LAT(_latency, enter(kHostId, RequestKind::Demand, fault.gpu,
                               fault.vpn, LatencyPhase::FarFault,
                               _eq.now()));
-    auto mig = _migrations.find(fault.vpn);
-    if (mig != _migrations.end()) {
+    if (Migration *mig = _migrations.find(fault.vpn)) {
         _stats.blockedFaults.inc();
         IDYLL_LAT(_latency,
                   enter(kHostId, RequestKind::Demand, fault.gpu,
                         fault.vpn, LatencyPhase::MigrationWait,
                         _eq.now()));
-        mig->second.blockedFaults.push_back(fault);
+        mig->blockedFaults.push_back(fault);
         return;
     }
     const Cycles cost = _cfg.hostFaultServiceLatency + hostWalkCost();
@@ -150,14 +157,13 @@ UvmDriver::resolveFault(FaultRecord fault)
     }
     // A migration may have started while this fault waited for a host
     // worker; if so the fault blocks until the migration completes.
-    auto mig = _migrations.find(fault.vpn);
-    if (mig != _migrations.end()) {
+    if (Migration *mig = _migrations.find(fault.vpn)) {
         _stats.blockedFaults.inc();
         IDYLL_LAT(_latency,
                   enter(kHostId, RequestKind::Demand, fault.gpu,
                         fault.vpn, LatencyPhase::MigrationWait,
                         _eq.now()));
-        mig->second.blockedFaults.push_back(fault);
+        mig->blockedFaults.push_back(fault);
         return;
     }
 
@@ -187,16 +193,16 @@ UvmDriver::resolveFault(FaultRecord fault)
         // The authoritative copy died with its home GPU (this fault
         // raced the unplug recovery). Re-home from host backing store
         // and resolve the fault once the page lands on a survivor.
-        if (!_migrations.count(fault.vpn))
+        if (!_migrations.contains(fault.vpn))
             rehomePage(fault.vpn, _latestWindow[owner]);
-        auto rehome = _migrations.find(fault.vpn);
-        IDYLL_ASSERT(rehome != _migrations.end(), "re-home refused");
+        Migration *rehome = _migrations.find(fault.vpn);
+        IDYLL_ASSERT(rehome, "re-home refused");
         _stats.blockedFaults.inc();
         IDYLL_LAT(_latency,
                   enter(kHostId, RequestKind::Demand, fault.gpu,
                         fault.vpn, LatencyPhase::MigrationWait,
                         _eq.now()));
-        rehome->second.blockedFaults.push_back(fault);
+        rehome->blockedFaults.push_back(fault);
         return;
     }
 
@@ -243,9 +249,8 @@ UvmDriver::resolveFault(FaultRecord fault)
             // writer (a migration with exact targets).
             _stats.collapses.inc();
             startMigration(fault.vpn, fault.gpu, /*collapse=*/true);
-            auto it = _migrations.find(fault.vpn);
-            if (it != _migrations.end())
-                it->second.blockedFaults.push_back(fault);
+            if (Migration *op = _migrations.find(fault.vpn))
+                op->blockedFaults.push_back(fault);
             return;
         }
         // Write to a non-replicated remote page: remote mapping.
@@ -259,7 +264,7 @@ UvmDriver::resolveFault(FaultRecord fault)
         // Migrate now; the migration's completion reply resolves the
         // fault (the faulting GPU is the destination).
         startMigration(fault.vpn, fault.gpu, /*collapse=*/false);
-        if (!_migrations.count(fault.vpn)) {
+        if (!_migrations.contains(fault.vpn)) {
             // Migration was refused (e.g., already local): fall back.
             grantMapping(fault, _hostPt.find(fault.vpn)->pfn(), true, 0);
         }
@@ -280,14 +285,13 @@ UvmDriver::deliverReplica(const FaultRecord &fault, Pfn pfn)
     // the replicas in the meantime. Granting unconditionally would
     // resurrect a read replica the collapse round just invalidated —
     // the reader would serve data the writer believes is exclusive.
-    auto mig = _migrations.find(fault.vpn);
-    if (mig != _migrations.end()) {
+    if (Migration *mig = _migrations.find(fault.vpn)) {
         _stats.blockedFaults.inc();
         IDYLL_LAT(_latency,
                   enter(kHostId, RequestKind::Demand, fault.gpu,
                         fault.vpn, LatencyPhase::MigrationWait,
                         _eq.now()));
-        mig->second.blockedFaults.push_back(fault);
+        mig->blockedFaults.push_back(fault);
         return;
     }
     const HostPage::Replica *held = hostPage(fault.vpn).replicaOf(fault.gpu);
@@ -334,7 +338,7 @@ UvmDriver::onMigrationRequest(GpuId requester, Vpn vpn)
     }
     _stats.migrationRequests.inc();
     IDYLL_TRACE(_tracer, MigRequest, requester, vpn);
-    if (_migrations.count(vpn)) {
+    if (_migrations.contains(vpn)) {
         _stats.duplicateMigrationRequests.inc();
         return;
     }
@@ -344,7 +348,7 @@ UvmDriver::onMigrationRequest(GpuId requester, Vpn vpn)
 void
 UvmDriver::startMigration(Vpn vpn, GpuId dest, bool collapse)
 {
-    IDYLL_ASSERT(!_migrations.count(vpn), "migration already active");
+    IDYLL_ASSERT(!_migrations.contains(vpn), "migration already active");
 
     Pte *hpte = _hostPt.find(vpn);
     if (!hpte || !hpte->valid()) {
@@ -367,7 +371,8 @@ UvmDriver::startMigration(Vpn vpn, GpuId dest, bool collapse)
     // A dead old owner cannot source the page copy; the data comes
     // from the host backing store over PCIe instead.
     op.sourceHost = isDead(owner);
-    auto [it, inserted] = _migrations.emplace(vpn, std::move(op));
+    const std::uint64_t opId = op.opId;
+    auto [added, inserted] = _migrations.insert(vpn, std::move(op));
     IDYLL_ASSERT(inserted, "duplicate migration op");
     _stats.migrations.inc();
     IDYLL_TRACE(_tracer, MigStart, dest, vpn, owner);
@@ -375,13 +380,13 @@ UvmDriver::startMigration(Vpn vpn, GpuId dest, bool collapse)
     // Broadcast (including the zero-latency oracle) sends the
     // invalidation requests before the host walk completes.
     if (_cfg.invalFilter == InvalFilter::Broadcast && !collapse)
-        sendInvalidations(it->second);
+        sendInvalidations(*added);
 
-    _workers.submit(hostWalkCost(), [this, vpn, opId = it->second.opId] {
-        auto mit = _migrations.find(vpn);
-        if (mit == _migrations.end() || mit->second.opId != opId)
+    _workers.submit(hostWalkCost(), [this, vpn, opId] {
+        Migration *found = _migrations.find(vpn);
+        if (!found || found->opId != opId)
             return; // op aborted by an unplug while the walk was queued
-        Migration &op = mit->second;
+        Migration &op = *found;
         op.hostWalkDone = true;
         _stats.hostWalkLatency.sample(
             static_cast<double>(hostWalkCost()));
@@ -443,10 +448,10 @@ UvmDriver::sendInvalidations(Migration &op)
     if (extraLatency > 0) {
         const Vpn vpn = op.vpn;
         _eq.schedule(extraLatency, [this, vpn, opId = op.opId] {
-            auto mit = _migrations.find(vpn);
-            if (mit == _migrations.end() || mit->second.opId != opId)
+            Migration *found = _migrations.find(vpn);
+            if (!found || found->opId != opId)
                 return; // aborted by an unplug during the VM lookup
-            dispatchInvalidations(mit->second);
+            dispatchInvalidations(*found);
         });
         return;
     }
@@ -514,8 +519,8 @@ UvmDriver::sendInvalidationTo(const Migration &op, GpuId g)
 void
 UvmDriver::scheduleInvalRetry(Vpn vpn, std::uint32_t round)
 {
-    auto sit = _migrations.find(vpn);
-    IDYLL_ASSERT(sit != _migrations.end(), "retry timer for no migration");
+    Migration *found = _migrations.find(vpn);
+    IDYLL_ASSERT(found, "retry timer for no migration");
 
     // Capped exponential backoff: base interval, then 2x, 4x, ... up
     // to 64x, plus seeded jitter so repeated losses don't resonate
@@ -523,16 +528,16 @@ UvmDriver::scheduleInvalRetry(Vpn vpn, std::uint32_t round)
     // real retry, so a run whose timer never finds work keeps a
     // digest identical to one with the timer disabled.
     const Cycles base = _cfg.integrity.invalRetryTimeout;
-    const std::uint32_t attempt = sit->second.retryAttempts;
+    const std::uint32_t attempt = found->retryAttempts;
     Cycles delay = base << std::min(attempt, 6u);
     if (attempt > 0)
         delay += _backoffRng.below(std::max<Cycles>(base / 8, 1));
 
     _eq.schedule(delay, [this, vpn, round] {
-        auto it = _migrations.find(vpn);
-        if (it == _migrations.end())
+        Migration *found = _migrations.find(vpn);
+        if (!found)
             return; // migration completed; timer is moot
-        Migration &op = it->second;
+        Migration &op = *found;
         if (op.round != round || op.ackMask == op.expectedAckMask)
             return;
         _stats.invalRetryTimeouts.inc();
@@ -566,10 +571,10 @@ UvmDriver::onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
         return;
     }
     _stats.invalAcks.inc();
-    auto it = _migrations.find(vpn);
-    if (it == _migrations.end())
+    Migration *found = _migrations.find(vpn);
+    if (!found)
         return; // ack for an already-finished (or refused) migration
-    Migration &op = it->second;
+    Migration &op = *found;
     if (round != op.round) {
         _stats.staleAcks.inc();
         return;
@@ -604,10 +609,10 @@ UvmDriver::onInvalAck(GpuId from, Vpn vpn, std::uint32_t round,
 void
 UvmDriver::maybeStartTransfer(Vpn vpn)
 {
-    auto it = _migrations.find(vpn);
-    if (it == _migrations.end())
+    Migration *found = _migrations.find(vpn);
+    if (!found)
         return; // aborted by an unplug between ack and transfer
-    Migration &op = it->second;
+    Migration &op = *found;
     if (!op.hostWalkDone || !op.invalsSent || !op.dispatched ||
         op.ackMask != op.expectedAckMask || op.transferStarted) {
         return;
@@ -636,10 +641,10 @@ UvmDriver::maybeStartTransfer(Vpn vpn)
 void
 UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
 {
-    auto it = _migrations.find(vpn);
-    if (it == _migrations.end() || it->second.opId != opId)
+    Migration *found = _migrations.find(vpn);
+    if (!found || found->opId != opId)
         return; // op aborted (and possibly restarted) by an unplug
-    Migration op = std::move(it->second);
+    Migration op = std::move(*found);
     IDYLL_ASSERT(!isDead(op.dest), "finishing migration to a dead GPU");
 
     Pte *hpte = _hostPt.find(vpn);
@@ -656,7 +661,7 @@ UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
 
     // Free every read replica (collapse) — their PTEs are invalid now.
     // The record exists: dispatchInvalidations numbered this round.
-    HostPage &page = _pages.at(vpn);
+    HostPage &page = existingPage(vpn);
     for (const HostPage::Replica &r : page.replicas)
         _gpuMem[r.gpu].release(r.pfn);
     page.replicas.clear();
@@ -666,7 +671,7 @@ UvmDriver::finishMigration(Vpn vpn, std::uint64_t opId)
         _dir->markAccess(fresh, op.dest, vpn);
     if (_vmDir)
         _vmDir->setBit(vpn, op.dest);
-    _migrations.erase(it);
+    _migrations.erase(vpn);
 
     _stats.migrationTotal.sample(
         static_cast<double>(_eq.now() - op.requestArrived));
@@ -730,14 +735,14 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     // device. Sorted VPN order keeps the recovery deterministic.
     std::vector<Vpn> migVpns;
     migVpns.reserve(_migrations.size());
-    for (const auto &[vpn, op] : _migrations)
-        migVpns.push_back(vpn);
+    _migrations.forEach(
+        [&migVpns](Vpn vpn, const Migration &) { migVpns.push_back(vpn); });
     std::sort(migVpns.begin(), migVpns.end());
     for (Vpn vpn : migVpns) {
-        auto it = _migrations.find(vpn);
-        if (it == _migrations.end())
+        Migration *found = _migrations.find(vpn);
+        if (!found)
             continue; // torn down earlier in this loop
-        Migration &op = it->second;
+        Migration &op = *found;
         if (op.dest == gpu) {
             abortMigration(vpn, w);
             continue;
@@ -766,12 +771,13 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     // SCRUB: free the dead device's replica frames and clear its
     // directory presence so future rounds stop naming it.
     std::vector<Vpn> replicaVpns;
-    for (const auto &[vpn, page] : _pages)
+    _pages.forEach([&](Vpn vpn, const HostPage &page) {
         if (page.replicaOf(gpu))
             replicaVpns.push_back(vpn);
+    });
     std::sort(replicaVpns.begin(), replicaVpns.end());
     for (Vpn vpn : replicaVpns)
-        _gpuMem[gpu].release(_pages.at(vpn).takeReplica(gpu));
+        _gpuMem[gpu].release(existingPage(vpn).takeReplica(gpu));
     if (_dir) {
         std::vector<Vpn> ptVpns;
         ptVpns.reserve(_hostPt.validCount());
@@ -817,7 +823,7 @@ UvmDriver::onGpuUnplug(GpuId gpu)
     std::vector<Vpn> lost;
     _hostPt.forEachValid([&](Vpn vpn, const Pte &pte) {
         if (static_cast<GpuId>(ownerOf(pte.pfn())) == gpu &&
-            !_migrations.count(vpn))
+            !_migrations.contains(vpn))
             lost.push_back(vpn);
     });
     std::sort(lost.begin(), lost.end());
@@ -837,7 +843,7 @@ UvmDriver::onGpuUnplug(GpuId gpu)
         // Promote the lowest-id surviving replica to primary: its
         // frame becomes the authoritative copy and its existing
         // read-only local mapping stays servable.
-        const Pfn survivorPfn = _pages.at(vpn).takeReplica(survivor);
+        const Pfn survivorPfn = existingPage(vpn).takeReplica(survivor);
         Pte *pte = _hostPt.find(vpn);
         _gpuMem[gpu].release(pte->pfn());
         Pte &fresh = _hostPt.install(vpn, survivorPfn, true);
@@ -868,7 +874,7 @@ UvmDriver::onGpuReattach(GpuId gpu)
 void
 UvmDriver::rehomePage(Vpn vpn, std::size_t windowIdx)
 {
-    IDYLL_ASSERT(!_migrations.count(vpn), "re-home with a live migration");
+    IDYLL_ASSERT(!_migrations.contains(vpn), "re-home with a live migration");
     // Deterministic survivor choice that spreads the dead device's
     // working set across the remaining GPUs.
     std::vector<GpuId> survivors;
@@ -879,9 +885,9 @@ UvmDriver::rehomePage(Vpn vpn, std::size_t windowIdx)
     const GpuId dest = survivors[vpn % survivors.size()];
 
     startMigration(vpn, dest, /*collapse=*/false);
-    auto it = _migrations.find(vpn);
-    IDYLL_ASSERT(it != _migrations.end(), "re-home migration refused");
-    Migration &op = it->second;
+    Migration *found = _migrations.find(vpn);
+    IDYLL_ASSERT(found, "re-home migration refused");
+    Migration &op = *found;
     op.recovery = true;
     op.sourceHost = true;
     op.recoveryWindow = static_cast<std::uint32_t>(windowIdx);
@@ -893,10 +899,10 @@ UvmDriver::rehomePage(Vpn vpn, std::size_t windowIdx)
 void
 UvmDriver::abortMigration(Vpn vpn, std::size_t windowIdx)
 {
-    auto it = _migrations.find(vpn);
-    IDYLL_ASSERT(it != _migrations.end(), "no migration to abort");
-    Migration op = std::move(it->second);
-    _migrations.erase(it);
+    Migration *found = _migrations.find(vpn);
+    IDYLL_ASSERT(found, "no migration to abort");
+    Migration op = std::move(*found);
+    _migrations.erase(vpn);
     _stats.abortedMigrations.inc();
     ++_recoveries[windowIdx].abortedMigrations;
     if (op.recovery)
@@ -960,7 +966,13 @@ UvmDriver::dumpDiagnostics(std::ostream &os) const
         os << ", dead GPU mask 0x" << std::hex << _deadMask << std::dec
            << ", " << _recoveries.size() << " recovery window(s)";
     os << "\n";
-    for (const auto &[vpn, op] : _migrations) {
+    // In VPN order, so a report does not depend on table layout.
+    std::vector<Vpn> vpns;
+    _migrations.forEach(
+        [&vpns](Vpn vpn, const Migration &) { vpns.push_back(vpn); });
+    std::sort(vpns.begin(), vpns.end());
+    for (Vpn vpn : vpns) {
+        const Migration &op = *_migrations.find(vpn);
         os << "  vpn " << vpn << " -> gpu " << op.dest << " round "
            << op.round << " acks 0x" << std::hex << op.ackMask << "/0x"
            << op.expectedAckMask << std::dec

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/directory.hh"
@@ -29,6 +28,7 @@
 #include "mem/page_table.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_vpn_map.hh"
 #include "sim/latency.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -254,6 +254,8 @@ class UvmDriver : public DriverItf
     void replayBlocked(std::vector<FaultRecord> faults);
     /** @return @p vpn's record, or an empty one; never inserts. */
     const HostPage &hostPage(Vpn vpn) const;
+    /** @return @p vpn's record, which must exist. */
+    HostPage &existingPage(Vpn vpn);
 
     // --- device-loss recovery helpers ---------------------------------
     /** Start a host-sourced re-home migration for @p vpn. */
@@ -277,8 +279,8 @@ class UvmDriver : public DriverItf
 
     WorkerPool _workers;
     /** In-flight ops; each is erased when it finishes or aborts. */
-    std::unordered_map<Vpn, Migration> _migrations;
-    std::unordered_map<Vpn, HostPage> _pages;
+    FlatVpnMap<Migration> _migrations;
+    FlatVpnMap<HostPage> _pages;
 
     TranslationOracle *_oracle = nullptr;
     Tracer *_tracer = nullptr;

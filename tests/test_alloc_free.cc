@@ -5,7 +5,8 @@
  * from send/issue to delivery without touching the heap. Counted with
  * the test binary's operator new replacement (alloc_counter.hh), so
  * any continuation that stops fitting its inline buffer, or any new
- * per-event container, fails here.
+ * per-event container, fails here. A whole KM/IDYLL run is held to a
+ * budget of heap allocations per simulated access.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <limits>
 
 #include "alloc_counter.hh"
+#include "harness/cli.hh"
 #include "harness/system.hh"
 #include "interconnect/network.hh"
 
@@ -84,6 +86,30 @@ TEST(AllocationFree, WarmRemoteTlbHitsAllocateNothing)
     EXPECT_EQ(gpu.stats().farFaultsRaised.value(), faults);
     EXPECT_EQ(gpu.stats().remoteAccesses.value(), remote + 1000);
     EXPECT_EQ(gpu.completedAccesses(), completed + 1000);
+}
+
+TEST(AllocationBudget, KmIdyllRunAllocatesUnderHalfPerAccess)
+{
+    // The whole drain: misses, walks, faults, migrations and
+    // invalidation rounds included. MSHR entries keep their first
+    // waiters inline and every per-page table is a FlatVpnMap, so
+    // what remains is mostly walk requests and invalidation targets.
+    const CliParse parsed = parseCli(
+        {"--app", "KM", "--scheme", "idyll", "--gpus", "4", "--scale",
+         "0.25"});
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    MultiGpuSystem sys(parsed.options->config);
+    sys.launch(Workload::byName(parsed.options->app,
+                                parsed.options->scale));
+    const std::uint64_t before = test::threadAllocations();
+    sys.eventQueue().run();
+    const std::uint64_t allocs = test::threadAllocations() - before;
+    const SimResults r = sys.finish(parsed.options->app);
+    ASSERT_GT(r.accesses, 0u);
+    const double perAccess =
+        static_cast<double>(allocs) / static_cast<double>(r.accesses);
+    EXPECT_LE(perAccess, 0.5) << allocs << " allocations over "
+                              << r.accesses << " accesses";
 }
 
 } // namespace

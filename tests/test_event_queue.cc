@@ -574,6 +574,74 @@ TEST(EventQueue, MatchesReferenceOrderUnderRandomizedChurn)
     }
 }
 
+/**
+ * Thousands of deliveries with shuffled keys, ordinary events and
+ * keepalives at one tick, plus deliveries scheduled into that tick
+ * while it runs: far more than the wheel's bounded in-order walk, so
+ * the bucket is sorted when it reaches the top.
+ */
+template <typename Q>
+std::vector<std::uint64_t>
+crowdedTickOrder(std::uint64_t seed)
+{
+    Q q;
+    Rng rng(seed);
+    std::vector<std::uint64_t> order;
+    constexpr Tick kTick = 7;
+    std::uint64_t nextTag = 0;
+    auto delivery = [&](std::uint64_t key) {
+        const std::uint64_t tag = nextTag++;
+        q.schedule(Kind::Delivery, kTick, key, [&order, tag] {
+            order.push_back(tag);
+        });
+    };
+    for (int i = 0; i < 3000; ++i) {
+        switch (rng.below(8)) {
+          case 0: {
+            const std::uint64_t tag = nextTag++;
+            q.schedule(Kind::Ordinary, kTick, 0,
+                       [&order, tag] { order.push_back(tag); });
+            break;
+          }
+          case 1: {
+            const std::uint64_t tag = nextTag++;
+            q.schedule(Kind::Keepalive, kTick, 0,
+                       [&order, tag] { order.push_back(tag); });
+            break;
+          }
+          case 2: {
+            // Runs mid-tick and adds same-tick deliveries, some of
+            // which sort before what is left.
+            const std::uint64_t tag = nextTag++;
+            const std::uint64_t keys[2] = {1 + rng.below(1u << 20),
+                                           1 + rng.below(1u << 20)};
+            q.schedule(Kind::Delivery, kTick, 1 + rng.below(1u << 20),
+                       [&order, &delivery, tag, keys] {
+                           order.push_back(tag);
+                           delivery(keys[0]);
+                           delivery(keys[1]);
+                       });
+            break;
+          }
+          default:
+            delivery(1 + rng.below(1u << 20));
+        }
+    }
+    q.run();
+    return order;
+}
+
+TEST(EventQueue, CrowdedTickMatchesReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const std::vector<std::uint64_t> want =
+            crowdedTickOrder<RefQueue>(seed);
+        ASSERT_GT(want.size(), 3000u);
+        EXPECT_EQ(crowdedTickOrder<WheelQueue>(seed), want)
+            << "seed " << seed;
+    }
+}
+
 TEST(InlineFn, SchedulingSiteSizedCapturesStayInline)
 {
     // The shape of the simulator's largest scheduling site (a `this`

@@ -38,6 +38,21 @@ TEST(Mshr, ReleaseReturnsWaitersInOrder)
     EXPECT_FALSE(m.contains(10));
 }
 
+TEST(Mshr, WaitersPastTheInlineOnesKeepTheirOrder)
+{
+    File m(4);
+    const int n = static_cast<int>(File::Waiters::kInline) + 3;
+    for (int i = 0; i < n; ++i)
+        m.allocate(10, i);
+    ASSERT_EQ(m.waiters(10), static_cast<std::size_t>(n));
+    auto waiters = m.release(10);
+    ASSERT_EQ(waiters.size(), static_cast<std::size_t>(n));
+    int expect = 0;
+    for (int w : waiters)
+        EXPECT_EQ(w, expect++);
+    EXPECT_FALSE(m.contains(10));
+}
+
 TEST(Mshr, FullOnlyCountsPrimaries)
 {
     File m(2);
