@@ -156,6 +156,36 @@ BM_EventQueueSteadyMix(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSteadyMix)->Arg(512)->Arg(4096)->Arg(32768);
 
+/**
+ * One tick filled with range(0) events, half ordinary and half
+ * deliveries with random keys, then drained; repeated. Below
+ * EventQueue::kMaxWalk nodes a delivery walks into place, past it the
+ * bucket is appended to and sorted once at the top, so the ns/event
+ * curve over the bucket length is what the cap is chosen from.
+ */
+void
+BM_EventQueueCrowdedTick(benchmark::State &state)
+{
+    const auto len = static_cast<std::uint64_t>(state.range(0));
+    EventQueue eq;
+    Rng rng(7);
+    std::uint64_t fired = 0;
+    for (auto _ : state) {
+        const Tick when = eq.now() + 1;
+        for (std::uint64_t i = 0; i < len; ++i) {
+            if (rng.below(2))
+                eq.scheduleAt(when, [&fired] { ++fired; });
+            else
+                eq.scheduleDelivery(when, 1 + rng.below(1u << 30),
+                                    [&fired] { ++fired; });
+        }
+        eq.run();
+    }
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_EventQueueCrowdedTick)->RangeMultiplier(4)->Range(4, 4096);
+
 void
 BM_IrmbInsert(benchmark::State &state)
 {

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # A/B comparison of two perfbench binaries in alternating pairs.
 #
-#   scripts/perf_pairs.sh PARENT_BIN CHANGE_BIN [PAIRS]
+#   scripts/perf_pairs.sh PARENT_BIN CHANGE_BIN [PAIRS [WORKLOAD...]]
 #
-# For each workload and trace mode, runs PAIRS (default 6) pairs of
-# runs at one seed. Pairs alternate which binary goes first (ABBA), so
-# a drift in host speed does not favour either side. Per pair it
-# prints:
+# For each workload (default: fig11-grid serve-obs shard32) in both
+# trace modes, runs PAIRS (default 6) pairs of 20 s runs at seed 1.
+# Pairs alternate which binary goes first (ABBA), so a drift in host
+# speed does not favour either side. Per pair it prints:
 #   --trace 0: the sim_accesses_per_s ratio (change / parent),
 #              peak_rss_mb and setup_s of both runs;
 #   --trace 1: correct and sim.unattributed_share of both runs;
@@ -17,25 +17,21 @@
 # Exits 1 if any pair's digest lines differ, 2 on a usage error or a
 # run that prints no result.
 #
-# Environment (all optional):
-#   PERF_WORKLOADS  workloads to run  (default "fig11-grid serve-obs shard32")
-#   PERF_TRACES     trace modes       (default "0 1")
-#   PERF_SECONDS    --seconds per run (default 20)
-#   PERF_SEED       --seed            (default 1)
-#
 # Build each binary from its own checkout, for example:
 #   cmake -S perfbench -B /tmp/pb -DCMAKE_BUILD_TYPE=Release
 #   cmake --build /tmp/pb --target perfbench -j
 
 set -u
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 PARENT_BIN CHANGE_BIN [PAIRS]" >&2
+if [ $# -lt 2 ]; then
+    echo "usage: $0 PARENT_BIN CHANGE_BIN [PAIRS [WORKLOAD...]]" >&2
     exit 2
 fi
 parent=$1
 change=$2
 pairs=${3:-6}
+shift $(($# < 3 ? $# : 3))
+workloads=${*:-fig11-grid serve-obs shard32}
 for bin in "$parent" "$change"; do
     if [ ! -x "$bin" ]; then
         echo "$0: not an executable: $bin" >&2
@@ -43,18 +39,13 @@ for bin in "$parent" "$change"; do
     fi
 done
 
-workloads=${PERF_WORKLOADS:-"fig11-grid serve-obs shard32"}
-traces=${PERF_TRACES:-"0 1"}
-seconds=${PERF_SECONDS:-20}
-seed=${PERF_SEED:-1}
-
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # run BIN WORKLOAD TRACE OUT: stdout to OUT, stderr discarded.
 run() {
-    "$1" --workload "$2" --seed "$seed" --seconds "$seconds" \
-        --trace "$3" >"$4" 2>/dev/null
+    "$1" --workload "$2" --seed 1 --seconds 20 --trace "$3" \
+        >"$4" 2>/dev/null
 }
 
 # field FILE KEY: one value from the result line (the last line).
@@ -79,7 +70,7 @@ print(f"{statistics.median(v):.4f}" if v else "n/a")'
 
 mismatch=0
 for workload in $workloads; do
-    for trace in $traces; do
+    for trace in 0 1; do
         ratios=""
         pshares=""
         cshares=""

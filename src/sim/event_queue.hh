@@ -804,11 +804,16 @@ class EventQueue
     }
 
     /**
-     * Longest in-order walk pushWheel() takes. Same-tick buckets are
-     * short in a simulation; a replay that sends thousands of
-     * messages without advancing time is not.
+     * Longest in-order walk pushWheel() takes. Per event, walking is
+     * 30-40% cheaper than appending and sorting once on buckets of
+     * 16-256 nodes, about even at 512 and 3x dearer at 1024
+     * (BM_EventQueueCrowdedTick); 128 is within noise of the cheaper
+     * path at every length. Simulated ticks stay below it (perfbench untraced:
+     * all but 30 of 7.4M walking inserts meet at most 64 nodes), so
+     * the sort serves replays that put thousands of sends on one tick
+     * (DESIGN.md, "Bucket order").
      */
-    static constexpr std::uint32_t kMaxWalk = 16;
+    static constexpr std::uint32_t kMaxWalk = 128;
 
     /** Put bucket @p slot's list in (key, seq) order. */
     void sortBucket(std::size_t slot);

@@ -38,7 +38,8 @@
  *    independent of table layout sort or sum what they collect. That
  *    order is hash order, so a table filled from another's forEach()
  *    must reserve() room for every key first.
- *  - kEmptyKey (all ones) cannot be stored; no VPN comes near it.
+ *  - kEmptyKey (all ones) cannot be stored (inserting it asserts;
+ *    looking it up finds nothing); no VPN comes near it.
  */
 
 #ifndef IDYLL_SIM_FLAT_VPN_MAP_HH
@@ -222,6 +223,10 @@ class FlatVpnMap
     std::uint64_t
     indexOf(Key key) const
     {
+        // The empty marker is never stored, though every free slot
+        // holds it.
+        if (key == kEmptyKey)
+            return kAbsent;
         std::uint64_t i = home(key);
         for (std::uint64_t probed = 0;; ++probed, i = after(i)) {
             const Key k = _slots[i].key;

@@ -176,6 +176,23 @@ TEST(FlatVpnMap, MovesValuesThatOwnMemory)
     }
 }
 
+TEST(FlatVpnMap, LookupsOfTheEmptySlotKeyFindNothing)
+{
+    // Every free slot holds the empty marker; lookups of it must not
+    // mistake one for an entry, on an empty table or a full one.
+    Map m;
+    EXPECT_EQ(m.find(Map::kEmptyKey), nullptr);
+    EXPECT_FALSE(m.contains(Map::kEmptyKey));
+    EXPECT_FALSE(m.erase(Map::kEmptyKey));
+    EXPECT_EQ(m.size(), 0u);
+    for (std::uint64_t k = 0; k < 5; ++k)
+        m[k] = k;
+    EXPECT_EQ(m.find(Map::kEmptyKey), nullptr);
+    EXPECT_FALSE(m.contains(Map::kEmptyKey));
+    EXPECT_FALSE(m.erase(Map::kEmptyKey));
+    EXPECT_EQ(m.size(), 5u);
+}
+
 TEST(FlatVpnMapDeath, RefusesTheEmptySlotKey)
 {
     Map m;
