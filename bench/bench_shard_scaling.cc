@@ -22,9 +22,8 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
-#include <sstream>
 
+#include "harness/bench_compare.hh"
 #include "harness/runner.hh"
 
 int
@@ -96,24 +95,25 @@ main(int argc, char **argv)
     // The imbalance/stall metrics describe run shape, not speed;
     // bench_compare classifies them neutral so machine-to-machine
     // variation never trips the drop gate.
-    std::ostringstream js;
-    js << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << "{\"bench\":\"shard_scaling\",\"schema\":1,\"metrics\":{"
-       << "\"eventsPerSecShards1\":" << eps[0] << ","
-       << "\"eventsPerSecShards4\":" << eps[1] << ","
-       << "\"eventsPerSecShards8\":" << eps[2] << ","
-       << "\"shardImbalancePctShards4\":" << imbalance[1] << ","
-       << "\"shardImbalancePctShards8\":" << imbalance[2] << ","
-       << "\"lookaheadStallPctShards4\":" << stall[1] << ","
-       << "\"lookaheadStallPctShards8\":" << stall[2] << "}}";
-    std::cout << js.str() << "\n";
+    idyll::BenchMetrics metrics;
+    metrics.bench = "shard_scaling";
+    metrics.schema = 1;
+    metrics.values = {{"eventsPerSecShards1", eps[0]},
+                      {"eventsPerSecShards4", eps[1]},
+                      {"eventsPerSecShards8", eps[2]},
+                      {"shardImbalancePctShards4", imbalance[1]},
+                      {"shardImbalancePctShards8", imbalance[2]},
+                      {"lookaheadStallPctShards4", stall[1]},
+                      {"lookaheadStallPctShards8", stall[2]}};
+    const std::string json = idyll::benchMetricsToJson(metrics);
+    std::cout << json << "\n";
     if (!out.empty()) {
         std::ofstream os(out);
         if (!os) {
             std::cerr << "error: cannot write " << out << "\n";
             return 1;
         }
-        os << js.str() << "\n";
+        os << json << "\n";
     }
     return 0;
 }

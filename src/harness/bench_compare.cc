@@ -1,53 +1,13 @@
 #include "harness/bench_compare.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
-#include <limits>
 #include <sstream>
+
+#include "sim/json.hh"
 
 namespace idyll
 {
-
-namespace
-{
-
-/**
- * Parse the number starting at the first digit/sign at or after
- * @p pos. Empty optional when nothing numeric is there.
- */
-std::optional<double>
-numberAt(const std::string &text, std::size_t pos)
-{
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == ':'))
-        ++pos;
-    if (pos >= text.size())
-        return std::nullopt;
-    const char *begin = text.c_str() + pos;
-    char *end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin)
-        return std::nullopt;
-    return value;
-}
-
-/** Find `"key"` and return the position just past its colon. */
-std::optional<std::size_t>
-afterKey(const std::string &text, const std::string &key,
-         std::size_t from = 0)
-{
-    const std::string needle = "\"" + key + "\"";
-    const std::size_t at = text.find(needle, from);
-    if (at == std::string::npos)
-        return std::nullopt;
-    const std::size_t colon = text.find(':', at + needle.size());
-    if (colon == std::string::npos)
-        return std::nullopt;
-    return colon + 1;
-}
-
-} // namespace
 
 std::optional<double>
 BenchMetrics::get(const std::string &name) const
@@ -61,54 +21,17 @@ BenchMetrics::get(const std::string &name) const
 std::optional<BenchMetrics>
 parseBenchJson(const std::string &text)
 {
+    const JsonValue root = parseJson(text).value_or(JsonValue());
+    if (!root["metrics"].isObject())
+        return std::nullopt;
     BenchMetrics m;
-
-    if (auto pos = afterKey(text, "bench")) {
-        const std::size_t open = text.find('"', *pos);
-        const std::size_t close =
-            open == std::string::npos ? std::string::npos
-                                      : text.find('"', open + 1);
-        if (close != std::string::npos)
-            m.bench = text.substr(open + 1, close - open - 1);
-    }
-    if (auto pos = afterKey(text, "schema")) {
-        if (auto v = numberAt(text, *pos))
-            m.schema = static_cast<int>(*v);
-    }
-
-    const auto metricsPos = afterKey(text, "metrics");
-    if (!metricsPos)
-        return std::nullopt;
-    const std::size_t open = text.find('{', *metricsPos);
-    if (open == std::string::npos)
-        return std::nullopt;
-    // The metrics object is flat by construction, so the first '}'
-    // closes it.
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos)
-        return std::nullopt;
-
-    std::size_t cursor = open + 1;
-    while (cursor < close) {
-        const std::size_t keyOpen = text.find('"', cursor);
-        if (keyOpen == std::string::npos || keyOpen >= close)
-            break;
-        const std::size_t keyClose = text.find('"', keyOpen + 1);
-        if (keyClose == std::string::npos || keyClose >= close)
-            return std::nullopt;
-        const std::string key =
-            text.substr(keyOpen + 1, keyClose - keyOpen - 1);
-        const std::size_t colon = text.find(':', keyClose);
-        if (colon == std::string::npos || colon >= close)
-            return std::nullopt;
-        const auto value = numberAt(text, colon + 1);
+    m.bench = root["bench"].asString().value_or("");
+    m.schema = static_cast<int>(root["schema"].asI64().value_or(0));
+    for (const JsonValue::Member &metric : root["metrics"].members()) {
+        const auto value = metric.value.asDouble();
         if (!value)
             return std::nullopt;
-        m.values.emplace_back(key, *value);
-        const std::size_t comma = text.find(',', colon);
-        if (comma == std::string::npos || comma > close)
-            break;
-        cursor = comma + 1;
+        m.values.emplace_back(metric.key, *value);
     }
     return m;
 }
@@ -117,51 +40,30 @@ std::optional<BenchMetrics>
 parseGoogleBenchmark(const std::string &text,
                      const std::string &namePrefix)
 {
-    // Scan the "benchmarks" array for the first entry whose "name"
-    // starts with the prefix, then read its items_per_second.
-    const std::string nameKey = "\"name\"";
-    std::size_t cursor = 0;
-    while (true) {
-        const std::size_t at = text.find(nameKey, cursor);
-        if (at == std::string::npos)
-            return std::nullopt;
-        cursor = at + nameKey.size();
-        const std::size_t open = text.find('"', cursor);
-        if (open == std::string::npos)
-            return std::nullopt;
-        const std::size_t close = text.find('"', open + 1);
-        if (close == std::string::npos)
-            return std::nullopt;
-        const std::string name =
-            text.substr(open + 1, close - open - 1);
-        if (name.rfind(namePrefix, 0) != 0)
+    const JsonValue root = parseJson(text).value_or(JsonValue());
+    for (const JsonValue &entry : root["benchmarks"].items()) {
+        const auto name = entry["name"].asString();
+        const auto ips = entry["items_per_second"].asDouble();
+        if (!name || name->rfind(namePrefix, 0) != 0 || !ips)
             continue;
-        const auto ipsPos =
-            afterKey(text, "items_per_second", close);
-        if (!ipsPos)
-            return std::nullopt;
-        const auto ips = numberAt(text, *ipsPos);
-        if (!ips)
-            return std::nullopt;
         BenchMetrics m;
         m.bench = "events_per_sec";
         m.schema = 1;
         m.values.emplace_back("eventsPerSec", *ips);
         return m;
     }
+    return std::nullopt;
 }
 
 std::string
 benchMetricsToJson(const BenchMetrics &m)
 {
     std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\"bench\":\"" << m.bench << "\",\"schema\":" << m.schema
-       << ",\"metrics\":{";
-    for (std::size_t i = 0; i < m.values.size(); ++i) {
-        os << (i ? "," : "") << "\"" << m.values[i].first
-           << "\":" << m.values[i].second;
-    }
+    os << "{\"bench\":\"" << jsonEscape(m.bench)
+       << "\",\"schema\":" << m.schema << ",\"metrics\":{";
+    for (std::size_t i = 0; i < m.values.size(); ++i)
+        os << (i ? "," : "") << "\"" << jsonEscape(m.values[i].first)
+           << "\":" << jsonNumber(m.values[i].second);
     os << "}}";
     return os.str();
 }

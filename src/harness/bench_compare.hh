@@ -45,16 +45,17 @@ struct BenchMetrics
 
 /**
  * Parse the "bench"/"schema" header and the flat "metrics" object out
- * of a BENCH artifact. Empty optional when the text has no
- * well-formed "metrics" object.
+ * of a BENCH artifact. Empty optional when the text is not JSON, has
+ * no "metrics" object, or a metric is not a number.
  */
 std::optional<BenchMetrics> parseBenchJson(const std::string &text);
 
 /**
  * Adapt google-benchmark --benchmark_format=json output: the first
- * benchmark whose name starts with @p namePrefix contributes its
- * items_per_second as an "eventsPerSec" metric. Empty optional when
- * no benchmark matches.
+ * entry of "benchmarks" whose name starts with @p namePrefix and that
+ * reports items_per_second contributes that value as an
+ * "eventsPerSec" metric. Empty optional when no entry matches or the
+ * text is not JSON.
  */
 std::optional<BenchMetrics>
 parseGoogleBenchmark(const std::string &text,

@@ -11,6 +11,7 @@
 #include "harness/serve.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_domain.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -146,18 +147,6 @@ classify(int exitCode)
     if (exitCode == kWatchdogExitCode)
         return ChaosOutcome::Hang;
     return ChaosOutcome::Failure;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 std::string

@@ -1,9 +1,5 @@
 #include "harness/cli.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
@@ -236,32 +232,10 @@ cliUsage()
 }
 
 bool
-parseUnsigned(const std::string &text, std::uint64_t &out)
-{
-    // strtoull skips blanks and negates a leading '-': demand a digit.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return errno == 0 && *end == '\0';
-}
-
-bool
 parseCount(const std::string &text, std::uint64_t min, std::uint64_t max,
            std::uint64_t &out)
 {
     return parseUnsigned(text, out) && out >= min && out <= max;
-}
-
-bool
-parseDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return *end == '\0' && std::isfinite(out);
 }
 
 bool

@@ -14,6 +14,7 @@
 
 #include "harness/runner.hh"
 #include "sim/config.hh"
+#include "sim/json.hh"
 
 namespace idyll
 {
@@ -141,18 +142,9 @@ bool parseInstrumentFlag(const std::vector<std::string> &args,
 /** The usage lines of the instrument flags (parseInstrumentFlag). */
 std::string instrumentUsage();
 
-/**
- * Parse a base-10 unsigned integer. Rejects empty text, a sign,
- * leading blanks, trailing characters and out-of-range values.
- */
-bool parseUnsigned(const std::string &text, std::uint64_t &out);
-
 /** parseUnsigned, and the value must lie in [@p min, @p max]. */
 bool parseCount(const std::string &text, std::uint64_t min,
                 std::uint64_t max, std::uint64_t &out);
-
-/** Parse a finite number; rejects empty text and trailing characters. */
-bool parseDouble(const std::string &text, double &out);
 
 /** Resolve a scheme name to a configuration (empty optional = bad). */
 std::optional<SystemConfig> schemeByName(const std::string &name);

@@ -1,13 +1,12 @@
 #include "harness/serve.hh"
 
 #include <chrono>
-#include <limits>
 #include <sstream>
 
 #include "harness/cli.hh"
 #include "harness/runner.hh"
 #include "harness/system.hh"
-#include "harness/tables.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
 
@@ -16,16 +15,6 @@ namespace idyll
 
 namespace
 {
-
-/** Round-tripping double format, matching SimResults::toJson. */
-std::string
-fmtDouble(double value)
-{
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << value;
-    return os.str();
-}
 
 /** Summarize one LatencyWindow's demand side into a ServeWindow. */
 ServeWindow
@@ -256,7 +245,7 @@ ServeReport::toJson() const
     os << "{\"bench\":\"serve\",\"schema\":1"
        << ",\"app\":\"" << jsonEscape(app) << "\""
        << ",\"scheme\":\"" << jsonEscape(scheme) << "\""
-       << ",\"gpus\":" << gpus << ",\"scale\":" << fmtDouble(scale)
+       << ",\"gpus\":" << gpus << ",\"scale\":" << jsonNumber(scale)
        << ",\"seed\":" << seed
        << ",\"windowCycles\":" << params.windowCycles
        << ",\"warmupWindows\":" << params.warmupWindows
@@ -278,9 +267,9 @@ ServeReport::toJson() const
        << ",\"stormP50\":" << stormP50
        << ",\"stormP99\":" << stormP99
        << ",\"stormP999\":" << stormP999
-       << ",\"tailAmplification\":" << fmtDouble(tailAmplification)
+       << ",\"tailAmplification\":" << jsonNumber(tailAmplification)
        << ",\"steadyThroughputPerKcycle\":"
-       << fmtDouble(steadyThroughputPerKcycle)
+       << jsonNumber(steadyThroughputPerKcycle)
        << ",\"steadyFinished\":" << steadyFinished
        << ",\"stormFinished\":" << stormFinished;
     // Degraded-mode keys exist only in unplug runs so that fault-free
@@ -305,8 +294,8 @@ ServeReport::toJson() const
        << ",\"migrations\":" << results.migrations
        << ",\"invalSent\":" << results.invalSent
        << ",\"eventsExecuted\":" << results.eventsExecuted
-       << ",\"hostSeconds\":" << fmtDouble(results.hostSeconds)
-       << ",\"eventsPerSec\":" << fmtDouble(results.eventsPerSec)
+       << ",\"hostSeconds\":" << jsonNumber(results.hostSeconds)
+       << ",\"eventsPerSec\":" << jsonNumber(results.eventsPerSec)
        << "}";
 
     os << ",\"windows\":[";

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace idyll
@@ -88,40 +88,6 @@ ResultTable::print(std::ostream &os, int precision) const
     os.flush();
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::ostringstream os;
-    for (const char c : text) {
-        switch (c) {
-            case '"':
-                os << "\\\"";
-                break;
-            case '\\':
-                os << "\\\\";
-                break;
-            case '\n':
-                os << "\\n";
-                break;
-            case '\t':
-                os << "\\t";
-                break;
-            case '\r':
-                os << "\\r";
-                break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    os << "\\u" << std::hex << std::setw(4)
-                       << std::setfill('0') << static_cast<int>(c)
-                       << std::dec << std::setfill(' ');
-                } else {
-                    os << c;
-                }
-        }
-    }
-    return os.str();
-}
-
 namespace
 {
 
@@ -131,62 +97,39 @@ class JsonObject
   public:
     explicit JsonObject(std::ostream &os) : _os(os) { _os << "{"; }
 
-    void
-    add(const char *key, const std::string &value)
+    /** Start member @p name; the caller streams its value (raw JSON
+     *  from a sub-system, for one). */
+    std::ostream &
+    key(const char *name)
     {
-        sep();
-        _os << "\"" << key << "\": \"" << jsonEscape(value) << "\"";
+        _os << _sep << "\"" << name << "\": ";
+        _sep = ", ";
+        return _os;
+    }
+
+    void add(const char *name, std::uint64_t v) { key(name) << v; }
+    void add(const char *name, double v) { key(name) << jsonNumber(v); }
+
+    void
+    add(const char *name, const std::string &value)
+    {
+        key(name) << "\"" << jsonEscape(value) << "\"";
     }
 
     void
-    add(const char *key, std::uint64_t value)
+    add(const char *name, const std::vector<std::uint64_t> &values)
     {
-        sep();
-        _os << "\"" << key << "\": " << value;
-    }
-
-    void
-    add(const char *key, double value)
-    {
-        sep();
-        _os << "\"" << key << "\": "
-            << std::setprecision(
-                   std::numeric_limits<double>::max_digits10)
-            << value;
-    }
-
-    void
-    add(const char *key, const std::vector<std::uint64_t> &values)
-    {
-        sep();
-        _os << "\"" << key << "\": [";
+        key(name) << "[";
         for (std::size_t i = 0; i < values.size(); ++i)
             _os << (i ? ", " : "") << values[i];
         _os << "]";
     }
 
-    /** Embed pre-serialized JSON verbatim (objects from sub-systems). */
-    void
-    addRaw(const char *key, const std::string &rawJson)
-    {
-        sep();
-        _os << "\"" << key << "\": " << rawJson;
-    }
-
     void close() { _os << "}"; }
 
   private:
-    void
-    sep()
-    {
-        if (_first)
-            _first = false;
-        else
-            _os << ", ";
-    }
-
     std::ostream &_os;
-    bool _first = true;
+    const char *_sep = "";
 };
 
 } // namespace
@@ -255,7 +198,7 @@ SimResults::toJson() const
     if (!traceDigest.empty())
         obj.add("traceDigest", traceDigest);
     if (!metricsJson.empty())
-        obj.addRaw("metrics", metricsJson);
+        obj.key("metrics") << metricsJson;
     if (latDemandCount || latInvalCount) {
         obj.add("latDemandCount", latDemandCount);
         obj.add("latDemandCycles", latDemandCycles);
@@ -265,15 +208,15 @@ SimResults::toJson() const
         obj.add("latInvalPhaseCycles", latInvalPhaseCycles);
     }
     if (!latencyJson.empty())
-        obj.addRaw("latency", latencyJson);
+        obj.key("latency") << latencyJson;
     if (!samplesJson.empty())
-        obj.addRaw("samples", samplesJson);
+        obj.key("samples") << samplesJson;
     // Run-shape telemetry (hostStats && sharded): omitted otherwise so
     // serialized results stay byte-identical across shard counts.
     if (!shardTelemetryJson.empty()) {
         obj.add("shardImbalancePct", shardImbalancePct);
         obj.add("lookaheadStallPct", lookaheadStallPct);
-        obj.addRaw("shardTelemetry", shardTelemetryJson);
+        obj.key("shardTelemetry") << shardTelemetryJson;
     }
     obj.close();
     return os.str();
@@ -290,9 +233,7 @@ writeSuiteJson(std::ostream &os, const std::string &suite, double scale,
                  " rows for ", schemes.size(), " schemes");
     os << "{\n";
     os << "  \"suite\": \"" << jsonEscape(suite) << "\",\n";
-    os << "  \"scale\": "
-       << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << scale << ",\n";
+    os << "  \"scale\": " << jsonNumber(scale) << ",\n";
     os << "  \"apps\": [";
     for (std::size_t i = 0; i < apps.size(); ++i)
         os << (i ? ", " : "") << "\"" << jsonEscape(apps[i]) << "\"";

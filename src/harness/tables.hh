@@ -46,9 +46,6 @@ class ResultTable
     std::vector<std::pair<std::string, std::vector<double>>> _rows;
 };
 
-/** JSON-escape @p text (quotes, backslashes, control characters). */
-std::string jsonEscape(const std::string &text);
-
 /**
  * Write one suite's [scheme][app] result grid as a JSON document:
  *

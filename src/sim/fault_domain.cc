@@ -1,9 +1,9 @@
 #include "sim/fault_domain.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -13,23 +13,11 @@ namespace idyll
 namespace
 {
 
-/** One collected parse problem, anchored to a plan-text offset. */
-struct Issue
-{
-    std::string msg;
-    std::size_t offset;
-};
-
+/** A plan tick: positive and at most kMaxPlanTick. */
 bool
-parseU64(const std::string &text, std::uint64_t &out)
+parseTick(const std::string &text, Tick &out)
 {
-    if (text.empty())
-        return false;
-    for (char c : text)
-        if (c < '0' || c > '9')
-            return false;
-    out = std::strtoull(text.c_str(), nullptr, 10);
-    return true;
+    return parseUnsigned(text, out) && out > 0 && out <= kMaxPlanTick;
 }
 
 /**
@@ -39,7 +27,7 @@ parseU64(const std::string &text, std::uint64_t &out)
  */
 void
 parseOneEvent(const std::string &item, std::size_t at, UnplugPlan &plan,
-              std::vector<Issue> &issues)
+              std::vector<PlanIssue> &issues)
 {
     if (item.empty()) {
         issues.push_back({"empty event (stray comma?)", at});
@@ -58,9 +46,11 @@ parseOneEvent(const std::string &item, std::size_t at, UnplugPlan &plan,
     }
     UnplugEvent ev;
     std::uint64_t gpu = 0;
-    if (!parseU64(item.substr(1, atSign - 1), gpu)) {
-        issues.push_back(
-            {"gpu id must be 'g<N>' in '" + item + "'", at + 1});
+    if (!parseUnsigned(item.substr(1, atSign - 1), gpu) || gpu >= kHostId) {
+        issues.push_back({"gpu id must be 'g<N>', N < " +
+                              std::to_string(kHostId) + ", in '" + item +
+                              "'",
+                          at + 1});
         return;
     }
     ev.gpu = static_cast<GpuId>(gpu);
@@ -69,19 +59,20 @@ parseOneEvent(const std::string &item, std::size_t at, UnplugPlan &plan,
     const std::size_t slash = ticks.find('/');
     const std::string unplugText =
         slash == std::string::npos ? ticks : ticks.substr(0, slash);
-    if (!parseU64(unplugText, ev.unplugTick) || ev.unplugTick == 0) {
-        issues.push_back({"unplug tick must be a positive integer in '" +
+    if (!parseTick(unplugText, ev.unplugTick)) {
+        issues.push_back({"unplug tick must be an integer in [1, " +
+                              std::to_string(kMaxPlanTick) + "] in '" +
                               item + "'",
                           at + atSign + 1});
         return;
     }
     if (slash != std::string::npos) {
         const std::size_t reatAt = at + atSign + 1 + slash + 1;
-        if (!parseU64(ticks.substr(slash + 1), ev.reattachTick) ||
-            ev.reattachTick == 0) {
-            issues.push_back({"re-attach tick must be a positive "
-                              "integer in '" +
-                                  item + "'",
+        if (!parseTick(ticks.substr(slash + 1), ev.reattachTick)) {
+            issues.push_back({"re-attach tick must be an integer in "
+                              "[1, " +
+                                  std::to_string(kMaxPlanTick) +
+                                  "] in '" + item + "'",
                               reatAt});
             return;
         }
@@ -107,53 +98,51 @@ parseOneEvent(const std::string &item, std::size_t at, UnplugPlan &plan,
 
 } // namespace
 
-std::string
-planCaret(const std::string &text, std::size_t offset)
+bool
+parsePlanItems(
+    const std::string &text, const char *noun, std::string *error,
+    const std::function<void(const std::string &item, std::size_t offset,
+                             std::vector<PlanIssue> &issues)> &parseItem)
 {
-    std::ostringstream os;
-    os << "      " << text << "\n      ";
-    const std::size_t col = std::min(offset, text.size());
-    for (std::size_t i = 0; i < col; ++i)
-        os << ' ';
-    os << '^';
-    return os.str();
+    std::vector<PlanIssue> issues;
+    for (std::size_t pos = 0;;) {
+        const std::size_t comma = std::min(text.find(',', pos), text.size());
+        parseItem(text.substr(pos, comma - pos), pos, issues);
+        if (comma == text.size())
+            break;
+        pos = comma + 1;
+    }
+    if (issues.empty())
+        return true;
+    if (error) {
+        std::ostringstream os;
+        os << issues.size() << " invalid " << noun
+           << (issues.size() == 1 ? "" : "s") << ":";
+        for (const PlanIssue &issue : issues) {
+            // The plan indented, then a caret under the offset.
+            os << "\n  - " << issue.msg << "\n      " << text
+               << "\n      "
+               << std::string(std::min(issue.offset, text.size()), ' ')
+               << '^';
+        }
+        *error = os.str();
+    }
+    return false;
 }
 
 std::optional<UnplugPlan>
 parseUnplugPlan(const std::string &text, std::string *error)
 {
     UnplugPlan plan;
-    if (text.empty())
-        return plan;
-
-    std::vector<Issue> issues;
-    std::size_t pos = 0;
-    while (true) {
-        const std::size_t comma = text.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        parseOneEvent(text.substr(pos, end - pos), pos, plan, issues);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-        if (pos == text.size()) {
-            issues.push_back({"trailing comma", comma});
-            break;
-        }
-    }
-
-    if (!issues.empty()) {
-        if (error) {
-            std::ostringstream os;
-            os << issues.size() << " invalid event"
-               << (issues.size() == 1 ? "" : "s") << ":";
-            for (const Issue &issue : issues)
-                os << "\n  - " << issue.msg << "\n"
-                   << planCaret(text, issue.offset);
-            *error = os.str();
-        }
+    auto parseItem = [&](const std::string &item, std::size_t at,
+                         std::vector<PlanIssue> &issues) {
+        if (item.empty() && at == text.size())
+            issues.push_back({"trailing comma", at - 1});
+        else
+            parseOneEvent(item, at, plan, issues);
+    };
+    if (!text.empty() && !parsePlanItems(text, "event", error, parseItem))
         return std::nullopt;
-    }
     return plan;
 }
 

@@ -60,12 +60,23 @@ struct UnplugPlan
     bool empty() const { return events.empty(); }
 };
 
+/** One problem in a plan's text, anchored at a byte offset. */
+struct PlanIssue
+{
+    std::string msg;
+    std::size_t offset;
+};
+
 /**
- * Two-line diagnostic snippet: the plan text indented, then a caret
- * under character @p offset. Shared by the unplug- and fault-plan
- * parsers so every plan grammar reports errors the same way.
+ * Split a comma-separated plan; @p parseItem gets each item (empty
+ * ones too) and its offset and appends what is wrong with it. On any
+ * problem returns false and, if @p error is non-null, fills it with
+ * ONE message listing them all, each with a caret under the plan.
  */
-std::string planCaret(const std::string &text, std::size_t offset);
+bool parsePlanItems(
+    const std::string &text, const char *noun, std::string *error,
+    const std::function<void(const std::string &item, std::size_t offset,
+                             std::vector<PlanIssue> &issues)> &parseItem);
 
 /**
  * Parse an unplug plan. On failure returns nullopt and, when @p error
@@ -73,9 +84,11 @@ std::string planCaret(const std::string &text, std::size_t offset);
  * (offending token underlined with a caret).
  *
  * Grammar (comma-separated): g<GPU>@<TICK>[/<REATTACH_TICK>]
- *  - GPU is a decimal device id (validated against numGpus by
- *    SystemConfig::check(), not here — the parser has no topology).
- *  - TICK must be > 0 (tick 0 precedes launch; nothing exists yet).
+ *  - GPU is a decimal device id below kHostId (validated against
+ *    numGpus by SystemConfig::check(), not here — the parser has no
+ *    topology).
+ *  - TICK must be > 0 (tick 0 precedes launch; nothing exists yet)
+ *    and at most kMaxPlanTick, so nothing scheduled after it wraps.
  *  - REATTACH_TICK, when present, must be > TICK.
  *  - A GPU may appear in at most one event (re-unplugging a
  *    re-attached device is not modeled).

@@ -6,6 +6,7 @@
 
 #include "mem/pte.hh"
 #include "sim/fault_domain.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace idyll
@@ -407,13 +408,6 @@ FaultPlan::hasDrops() const
 namespace
 {
 
-/** One collected parse problem, anchored to a plan-text offset. */
-struct RuleIssue
-{
-    std::string msg;
-    std::size_t offset;
-};
-
 /**
  * Parse one `class.action[=cycles][@prob]` rule at plan offset
  * @p base. On failure appends the first problem (with the offending
@@ -421,7 +415,7 @@ struct RuleIssue
  */
 bool
 parseOneRule(const std::string &item, std::size_t base, FaultRule &rule,
-             std::vector<RuleIssue> &issues)
+             std::vector<PlanIssue> &issues)
 {
     auto fail = [&](const std::string &msg, std::size_t offset) {
         issues.push_back({msg, offset});
@@ -454,14 +448,9 @@ parseOneRule(const std::string &item, std::size_t base, FaultRule &rule,
         const std::size_t probAt = base + dot + 1 + at + 1;
         const std::string prob = rest.substr(at + 1);
         rest = rest.substr(0, at);
-        try {
-            std::size_t used = 0;
-            rule.probability = std::stod(prob, &used);
-            if (used != prob.size())
-                throw std::invalid_argument(prob);
-        } catch (const std::exception &) {
+        // parseDouble refuses NaN, which `p < 0 || p > 1` lets by.
+        if (!parseDouble(prob, rule.probability))
             return fail("bad probability '" + prob + "'", probAt);
-        }
         if (rule.probability < 0.0 || rule.probability > 1.0)
             return fail("probability '" + prob + "' outside [0, 1]",
                         probAt);
@@ -479,16 +468,12 @@ parseOneRule(const std::string &item, std::size_t base, FaultRule &rule,
     }
 
     auto parseCycles = [&](Cycles &out) {
-        try {
-            std::size_t used = 0;
-            const unsigned long long v = std::stoull(value, &used);
-            if (used != value.size())
-                throw std::invalid_argument(value);
-            out = v;
+        if (parseUnsigned(value, out) && out <= kMaxPlanTick)
             return true;
-        } catch (const std::exception &) {
-            return fail("bad cycle count '" + value + "'", valueAt);
-        }
+        return fail("bad cycle count '" + value + "' (expected an "
+                    "integer in [0, " + std::to_string(kMaxPlanTick) +
+                    "])",
+                    valueAt);
     };
 
     if (action == "delay") {
@@ -527,44 +512,19 @@ parseOneRule(const std::string &item, std::size_t base, FaultRule &rule,
 std::optional<FaultPlan>
 parseFaultPlan(const std::string &text, std::string *error)
 {
+    // No text means "inject nothing". Report every invalid rule, not
+    // just the first: chaos sweeps hand users machine-built plans.
     FaultPlan plan;
-    if (text.empty())
-        return plan; // no plan text means "inject nothing"
-
-    // Collect every invalid rule, not just the first: a chaos sweep
-    // hands users machine-built plans, and fixing them one error per
-    // run would be miserable.
-    std::vector<RuleIssue> issues;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        if (item.empty()) {
+    auto parseItem = [&](const std::string &item, std::size_t pos,
+                         std::vector<PlanIssue> &issues) {
+        FaultRule rule;
+        if (item.empty())
             issues.push_back({"empty rule (stray comma?)", pos});
-        } else {
-            FaultRule rule;
-            if (parseOneRule(item, pos, rule, issues))
-                plan.rules.push_back(rule);
-        }
-        pos = comma + 1;
-        if (comma == text.size())
-            break;
-    }
-
-    if (!issues.empty()) {
-        if (error) {
-            std::ostringstream os;
-            os << issues.size() << " invalid rule"
-               << (issues.size() == 1 ? "" : "s") << ":";
-            for (const RuleIssue &issue : issues)
-                os << "\n  - " << issue.msg << "\n"
-                   << planCaret(text, issue.offset);
-            *error = os.str();
-        }
+        else if (parseOneRule(item, pos, rule, issues))
+            plan.rules.push_back(rule);
+    };
+    if (!text.empty() && !parsePlanItems(text, "rule", error, parseItem))
         return std::nullopt;
-    }
     return plan;
 }
 

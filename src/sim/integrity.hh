@@ -268,7 +268,9 @@ struct FaultPlan
  * 'delay' requires a cycle count; 'dup' takes an optional copy delay
  * (default 500 cycles); 'drop' takes no value and is only legal for
  * inval/ack (dropping a migration request would lose work the retry
- * machinery cannot recover). Probability defaults to 1.0.
+ * machinery cannot recover). Cycle counts are unsigned decimal, at
+ * most kMaxPlanTick. Probability defaults to 1.0 and must lie in
+ * [0, 1] (NaN is refused).
  *
  * Example: "inval.delay=800@0.3,inval.dup@0.2,ack.drop@0.05"
  *

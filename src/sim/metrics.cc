@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "sim/json.hh"
+
 namespace idyll
 {
 
@@ -52,124 +54,54 @@ MetricsGroup::dump(std::ostream &os, const std::string &prefix) const
         child->dump(os, base);
 }
 
-namespace
-{
-
-void
-jsonEscapeInto(std::ostream &os, const std::string &s)
-{
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          default:
-            os << ch;
-        }
-    }
-}
-
-} // namespace
-
 void
 MetricsGroup::jsonInto(std::ostream &os) const
 {
-    os << "{";
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            os << ", ";
-        first = false;
+    // One `"kind": {...}` section per non-empty kind, in this order;
+    // sections and their members are joined by ", ".
+    const char *sep = "";
+    auto section = [&](const char *kind, const auto &entries,
+                       const auto &write) {
+        if (entries.empty())
+            return;
+        os << sep << "\"" << kind << "\": {";
+        sep = ", ";
+        const char *inner = "";
+        for (const auto &entry : entries) {
+            os << inner;
+            inner = ", ";
+            write(entry);
+        }
+        os << "}";
     };
-    if (!_labels.empty()) {
-        sep();
-        os << "\"labels\": {";
-        bool f2 = true;
-        for (const auto &[key, value] : _labels) {
-            if (!f2)
-                os << ", ";
-            f2 = false;
-            os << "\"";
-            jsonEscapeInto(os, key);
-            os << "\": \"";
-            jsonEscapeInto(os, value);
-            os << "\"";
+    auto key = [&](const std::string &name) -> std::ostream & {
+        return os << "\"" << jsonEscape(name) << "\": ";
+    };
+    os << "{";
+    section("labels", _labels, [&](const auto &label) {
+        key(label.first) << "\"" << jsonEscape(label.second) << "\"";
+    });
+    section("counters", _counters, [&](const auto &counter) {
+        key(counter.first) << counter.second->value();
+    });
+    section("avgs", _avgs, [&](const auto &avg) {
+        key(avg.first) << "{\"mean\": " << avg.second->mean()
+                       << ", \"count\": " << avg.second->count() << "}";
+    });
+    section("dists", _dists, [&](const auto &dist) {
+        key(dist.first) << "{\"width\": " << dist.second->bucketWidth()
+                        << ", \"buckets\": [";
+        const char *comma = "";
+        for (std::uint64_t b : dist.second->buckets()) {
+            os << comma << b;
+            comma = ", ";
         }
-        os << "}";
-    }
-    if (!_counters.empty()) {
-        sep();
-        os << "\"counters\": {";
-        bool f2 = true;
-        for (const auto &[name, counter] : _counters) {
-            if (!f2)
-                os << ", ";
-            f2 = false;
-            os << "\"";
-            jsonEscapeInto(os, name);
-            os << "\": " << counter->value();
-        }
-        os << "}";
-    }
-    if (!_avgs.empty()) {
-        sep();
-        os << "\"avgs\": {";
-        bool f2 = true;
-        for (const auto &[name, avg] : _avgs) {
-            if (!f2)
-                os << ", ";
-            f2 = false;
-            os << "\"";
-            jsonEscapeInto(os, name);
-            os << "\": {\"mean\": " << avg->mean()
-               << ", \"count\": " << avg->count() << "}";
-        }
-        os << "}";
-    }
-    if (!_dists.empty()) {
-        sep();
-        os << "\"dists\": {";
-        bool f2 = true;
-        for (const auto &[name, dist] : _dists) {
-            if (!f2)
-                os << ", ";
-            f2 = false;
-            os << "\"";
-            jsonEscapeInto(os, name);
-            os << "\": {\"width\": " << dist->bucketWidth()
-               << ", \"buckets\": [";
-            bool f3 = true;
-            for (std::uint64_t b : dist->buckets()) {
-                if (!f3)
-                    os << ", ";
-                f3 = false;
-                os << b;
-            }
-            os << "]}";
-        }
-        os << "}";
-    }
-    if (!_children.empty()) {
-        sep();
-        os << "\"children\": {";
-        bool f2 = true;
-        for (const auto &child : _children) {
-            if (!f2)
-                os << ", ";
-            f2 = false;
-            os << "\"";
-            jsonEscapeInto(os, child->name());
-            os << "\": ";
-            child->jsonInto(os);
-        }
-        os << "}";
-    }
+        os << "]}";
+    });
+    section("children", _children, [&](const auto &child) {
+        key(child->name());
+        child->jsonInto(os);
+    });
     os << "}";
 }
 

@@ -18,6 +18,10 @@ using Tick = std::uint64_t;
 /** Sentinel for "no scheduled time". */
 constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
 
+/** Largest tick or delay a plan (--unplug, --faults) may name: a
+ *  plan tick plus a plan delay then cannot wrap the clock. */
+constexpr Tick kMaxPlanTick = kMaxTick / 4;
+
 /** A latency or duration expressed in cycles. */
 using Cycles = std::uint64_t;
 

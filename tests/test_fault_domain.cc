@@ -262,6 +262,34 @@ TEST(FaultDomainE2E, ConfigRejectsBadUnplugPlans)
     EXPECT_THROW(cfg.validate(), ConfigError); // no peer-timeout model
 }
 
+// A user-typed GPU id or tick that does not fit is a config error,
+// not a silent wrap to another GPU or a clock that overflows mid-run.
+
+TEST(FaultDomainE2E, ConfigRejectsAGpuIdPast32Bits)
+{
+    SystemConfig cfg = faultDomainConfig();
+    cfg.integrity.unplugPlan = "g4294967297@20000"; // 2^32 + 1, not g1
+    EXPECT_THROW(cfg.validate(), ConfigError);
+}
+
+TEST(FaultDomainE2E, ConfigRejectsAnUnplugTickPast64Bits)
+{
+    SystemConfig cfg = faultDomainConfig();
+    cfg.integrity.unplugPlan = "g1@18446744073709551616"; // 2^64
+    EXPECT_THROW(cfg.validate(), ConfigError);
+}
+
+TEST(FaultDomainE2E, ConfigRejectsAnUnplugTickThatWrapsTheClock)
+{
+    SystemConfig cfg = faultDomainConfig();
+    cfg.integrity.unplugPlan = "g1@18446744073709551615"; // 2^64 - 1
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    cfg.integrity.unplugPlan = "g1@100/18446744073709551615";
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    cfg.integrity.unplugPlan = "g1@" + std::to_string(kMaxPlanTick);
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 // --- degraded serve ----------------------------------------------------
 
 TEST(DegradedServe, PresetReportsRecoveryAndPhasedTails)

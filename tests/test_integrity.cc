@@ -81,6 +81,22 @@ TEST(FaultPlan, RejectsIllegalRules)
     }
 }
 
+TEST(FaultPlan, RejectsANegativeCycleCount)
+{
+    // std::stoull would negate "-1" into a 2^64 - 1 cycle delay.
+    std::string err;
+    EXPECT_FALSE(parseFaultPlan("inval.delay=-1", &err));
+    EXPECT_NE(err.find("bad cycle count '-1'"), std::string::npos) << err;
+}
+
+TEST(FaultPlan, RejectsANanProbability)
+{
+    // NaN fails both halves of a `p < 0 || p > 1` range check.
+    std::string err;
+    EXPECT_FALSE(parseFaultPlan("inval.delay=800@nan", &err));
+    EXPECT_NE(err.find("probability 'nan'"), std::string::npos) << err;
+}
+
 TEST(FaultInjector, DeterministicForFixedSeed)
 {
     std::string err;

@@ -13,6 +13,7 @@
 #include "harness/parallel.hh"
 #include "harness/sweeps.hh"
 #include "harness/tables.hh"
+#include "sim/json.hh"
 
 namespace idyll
 {

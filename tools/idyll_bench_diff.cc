@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "harness/bench_compare.hh"
+#include "sim/json.hh"
 
 namespace
 {
@@ -80,9 +81,9 @@ main(int argc, char **argv)
             std::cout << kUsage;
             return 0;
         } else if (arg == "--default-threshold") {
-            opt.defaultThresholdPct =
-                std::atof(value("--default-threshold").c_str());
-            if (opt.defaultThresholdPct <= 0.0) {
+            if (!parseDouble(value("--default-threshold"),
+                             opt.defaultThresholdPct) ||
+                opt.defaultThresholdPct <= 0.0) {
                 std::cerr << "error: --default-threshold needs a "
                              "positive percent\n";
                 return 2;
@@ -94,8 +95,8 @@ main(int argc, char **argv)
                 std::cerr << "error: --threshold needs NAME=PCT\n";
                 return 2;
             }
-            const double pct = std::atof(spec.substr(eq + 1).c_str());
-            if (pct <= 0.0) {
+            double pct = 0.0;
+            if (!parseDouble(spec.substr(eq + 1), pct) || pct <= 0.0) {
                 std::cerr << "error: --threshold needs a positive "
                              "percent\n";
                 return 2;

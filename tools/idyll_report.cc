@@ -13,112 +13,63 @@
  * (idyll_sim or idyll_sweep --latency); runs without attribution data are
  * listed but carry no table (and fail --check).
  *
- * The parser is a line scanner over the fixed-format JSON our own
- * serializers emit (one result object per line), not a general JSON
- * reader — the same discipline as tools/idyll_trace.cc.
+ * Each FILE is parsed whole (sim/json.hh): either one results object
+ * or a suite document whose "results" array holds them. A file that
+ * is not valid JSON is an error naming the byte offset.
  */
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/latency.hh"
 
 namespace
 {
 
-using idyll::kNumLatencyPhases;
+using idyll::JsonValue;
 using idyll::LatencyPhase;
 
-/** Extract `"key": <number>` (whitespace after the colon optional). */
-bool
-findNumber(const std::string &text, const std::string &key,
-           std::uint64_t &out, std::size_t from = 0)
+/** @p part in percent of @p whole (0 when @p whole is 0). */
+double
+pct(std::uint64_t part, std::uint64_t whole)
 {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle, from);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtoull(text.c_str() + pos + needle.size(), nullptr, 10);
-    return true;
+    return whole ? 100.0 * static_cast<double>(part) /
+                       static_cast<double>(whole)
+                 : 0.0;
 }
 
-/** Extract `"key": <double>`. */
-bool
-findDouble(const std::string &text, const std::string &key,
-           double &out, std::size_t from = 0)
+/** @p total over @p count (0 when @p count is 0). */
+double
+avg(std::uint64_t total, std::uint64_t count)
 {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle, from);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-    return true;
+    return count ? static_cast<double>(total) / static_cast<double>(count)
+                 : 0.0;
 }
 
-/** Extract `"key": "value"`. */
-bool
-findString(const std::string &text, const std::string &key,
-           std::string &out)
+/** Index of the largest value; ties go to the lower index. */
+std::size_t
+largest(const std::vector<std::uint64_t> &values)
 {
-    const std::string needle = "\"" + key + "\":";
-    auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() && text[pos] == ' ')
-        ++pos;
-    if (pos >= text.size() || text[pos] != '"')
-        return false;
-    const auto end = text.find('"', pos + 1);
-    if (end == std::string::npos)
-        return false;
-    out = text.substr(pos + 1, end - pos - 1);
-    return true;
-}
-
-/** Extract `"key": [n, n, ...]` into @p out. */
-bool
-findArray(const std::string &text, const std::string &key,
-          std::vector<std::uint64_t> &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos = text.find('[', pos + needle.size());
-    if (pos == std::string::npos)
-        return false;
-    const auto end = text.find(']', pos);
-    ++pos;
-    out.clear();
-    while (pos < end) {
-        char *stop = nullptr;
-        out.push_back(std::strtoull(text.c_str() + pos, &stop, 10));
-        pos = static_cast<std::size_t>(stop - text.c_str());
-        while (pos < end && (text[pos] == ',' || text[pos] == ' '))
-            ++pos;
-    }
-    return true;
+    return static_cast<std::size_t>(
+        std::max_element(values.begin(), values.end()) - values.begin());
 }
 
 /** One shard's heartbeat row from the shardTelemetry section. */
 struct ShardRow
 {
-    std::uint64_t shard = 0;
-    std::uint64_t lastTick = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t stallWindows = 0;
-    std::uint64_t depositsIn = 0;
-    std::uint64_t depositsOut = 0;
+    std::uint64_t shard = 0, lastTick = 0, executed = 0;
+    std::uint64_t stallWindows = 0, depositsIn = 0, depositsOut = 0;
 };
 
-/** One run's attribution numbers as parsed from a results line. */
+/** One results object's attribution and shard numbers. */
 struct Run
 {
     std::string app, scheme, file;
@@ -139,14 +90,64 @@ struct Run
     double
     share(std::size_t phase) const
     {
-        return demandCycles && phase < demandPhases.size()
-                   ? 100.0 * static_cast<double>(demandPhases[phase]) /
-                         static_cast<double>(demandCycles)
+        return phase < demandPhases.size()
+                   ? pct(demandPhases[phase], demandCycles)
                    : 0.0;
     }
 };
 
-/** Parse every result object (one per line) out of @p path. */
+std::uint64_t
+u64(const JsonValue &value)
+{
+    return value.asU64().value_or(0);
+}
+
+/** One SimResults::toJson object as a Run. */
+Run
+readRun(const JsonValue &result, const std::string &path)
+{
+    Run run;
+    run.file = path;
+    run.app = result["app"].asString().value_or("");
+    run.scheme = result["scheme"].asString().value_or("");
+    run.hasLatency = result.find("latDemandCount") != nullptr;
+    run.demandCount = u64(result["latDemandCount"]);
+    run.demandCycles = u64(result["latDemandCycles"]);
+    run.invalCount = u64(result["latInvalCount"]);
+    run.invalCycles = u64(result["latInvalCycles"]);
+    for (const JsonValue &cycles : result["latDemandPhaseCycles"].items())
+        run.demandPhases.push_back(u64(cycles));
+    for (const JsonValue &cycles : result["latInvalPhaseCycles"].items())
+        run.invalPhases.push_back(u64(cycles));
+    // The demand end-to-end distribution.
+    const JsonValue &total = result["latency"]["demand"]["total"];
+    run.p50 = u64(total["p50"]);
+    run.p95 = u64(total["p95"]);
+    run.p99 = u64(total["p99"]);
+    run.max = u64(total["max"]);
+    // Shard telemetry section (sharded runs with --host-stats).
+    if (const JsonValue *tel = result.find("shardTelemetry")) {
+        run.hasShards = true;
+        run.imbalancePct =
+            result["shardImbalancePct"].asDouble().value_or(0.0);
+        run.stallPct =
+            result["lookaheadStallPct"].asDouble().value_or(0.0);
+        run.windows = u64((*tel)["windows"]);
+        run.lookahead = u64((*tel)["lookahead"]);
+        for (const JsonValue &row : (*tel)["perShard"].items())
+            run.shardRows.push_back(
+                {u64(row["shard"]), u64(row["lastTick"]),
+                 u64(row["executed"]), u64(row["stallWindows"]),
+                 u64(row["depositsIn"]), u64(row["depositsOut"])});
+    }
+    return run;
+}
+
+/**
+ * Every run in @p path: the file is one results object or a suite
+ * document with a "results" array. Prints why and returns nothing
+ * when the file cannot be read or is not valid JSON.
+ */
 std::vector<Run>
 parseRuns(const std::string &path)
 {
@@ -156,57 +157,24 @@ parseRuns(const std::string &path)
         std::cerr << "error: cannot open '" << path << "'\n";
         return runs;
     }
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"app\":") == std::string::npos ||
-            line.find("\"scheme\":") == std::string::npos)
-            continue;
-        Run run;
-        run.file = path;
-        findString(line, "app", run.app);
-        findString(line, "scheme", run.scheme);
-        run.hasLatency =
-            findNumber(line, "latDemandCount", run.demandCount);
-        findNumber(line, "latDemandCycles", run.demandCycles);
-        findNumber(line, "latInvalCount", run.invalCount);
-        findNumber(line, "latInvalCycles", run.invalCycles);
-        findArray(line, "latDemandPhaseCycles", run.demandPhases);
-        findArray(line, "latInvalPhaseCycles", run.invalPhases);
-        // First "total" histogram after the "latency" key is the
-        // demand end-to-end distribution (fixed serializer order).
-        const auto lat = line.find("\"latency\":");
-        if (lat != std::string::npos) {
-            const auto tot = line.find("\"total\":", lat);
-            if (tot != std::string::npos) {
-                findNumber(line, "p50", run.p50, tot);
-                findNumber(line, "p95", run.p95, tot);
-                findNumber(line, "p99", run.p99, tot);
-                findNumber(line, "max", run.max, tot);
-            }
-        }
-        // Shard telemetry section (sharded runs with --host-stats).
-        const auto tel = line.find("\"shardTelemetry\":");
-        if (tel != std::string::npos) {
-            run.hasShards = true;
-            findDouble(line, "shardImbalancePct", run.imbalancePct);
-            findDouble(line, "lookaheadStallPct", run.stallPct);
-            findNumber(line, "windows", run.windows, tel);
-            findNumber(line, "lookahead", run.lookahead, tel);
-            // Each per-shard object starts with its "shard" key.
-            auto pos = line.find("\"shard\":", tel);
-            while (pos != std::string::npos) {
-                ShardRow row;
-                findNumber(line, "shard", row.shard, pos);
-                findNumber(line, "lastTick", row.lastTick, pos);
-                findNumber(line, "executed", row.executed, pos);
-                findNumber(line, "stallWindows", row.stallWindows, pos);
-                findNumber(line, "depositsIn", row.depositsIn, pos);
-                findNumber(line, "depositsOut", row.depositsOut, pos);
-                run.shardRows.push_back(row);
-                pos = line.find("\"shard\":", pos + 1);
-            }
-        }
-        runs.push_back(std::move(run));
+    std::stringstream text;
+    text << in.rdbuf();
+    idyll::JsonError error;
+    const auto root = idyll::parseJson(text.str(), &error);
+    if (!root) {
+        std::cerr << "error: " << path << ": byte " << error.offset
+                  << ": " << error.message << "\n";
+        return runs;
+    }
+    auto add = [&](const JsonValue &result) {
+        if (result.find("app") && result.find("scheme"))
+            runs.push_back(readRun(result, path));
+    };
+    if (const JsonValue *results = root->find("results")) {
+        for (const JsonValue &result : results->items())
+            add(result);
+    } else {
+        add(*root);
     }
     return runs;
 }
@@ -217,36 +185,30 @@ phaseName(std::size_t p)
     return idyll::latencyPhaseName(static_cast<LatencyPhase>(p));
 }
 
-/** Dominant demand phase (ties resolved to the lower enum value). */
-std::size_t
-bottleneck(const Run &run)
+/** The "== APP / SCHEME ====" heading over one run's table. */
+void
+banner(const Run &run)
 {
-    std::size_t best = 0;
-    for (std::size_t p = 1; p < run.demandPhases.size(); ++p)
-        if (run.demandPhases[p] > run.demandPhases[best])
-            best = p;
-    return best;
+    const std::string label = run.label();
+    std::cout << "== " << label << " "
+              << std::string(label.size() < 50 ? 50 - label.size() : 1,
+                             '=')
+              << "\n";
 }
 
 void
 printRun(const Run &run)
 {
-    std::cout << "== " << run.label() << " "
-              << std::string(
-                     run.label().size() < 50 ? 50 - run.label().size()
-                                             : 1,
-                     '=')
-              << "\n";
+    banner(run);
     if (!run.hasLatency || !run.demandCount) {
         std::cout << "  (no latency attribution — run with --latency)\n";
         return;
     }
     std::cout << std::fixed << std::setprecision(1);
     std::cout << "  demand requests " << run.demandCount << ", avg "
-              << static_cast<double>(run.demandCycles) /
-                     static_cast<double>(run.demandCount)
-              << " cy, p50 " << run.p50 << ", p95 " << run.p95
-              << ", p99 " << run.p99 << ", max " << run.max << "\n";
+              << avg(run.demandCycles, run.demandCount) << " cy, p50 "
+              << run.p50 << ", p95 " << run.p95 << ", p99 " << run.p99
+              << ", max " << run.max << "\n";
     std::cout << "  phase             cycles            share\n";
     for (std::size_t p = 0; p < run.demandPhases.size(); ++p) {
         if (!run.demandPhases[p])
@@ -255,24 +217,17 @@ printRun(const Run &run)
                   << std::right << std::setw(14) << run.demandPhases[p]
                   << std::setw(10) << run.share(p) << "%\n";
     }
-    const std::size_t dom = bottleneck(run);
+    const std::size_t dom = largest(run.demandPhases);
     std::cout << "  bottleneck: " << phaseName(dom) << ", "
               << run.share(dom) << "% of miss latency\n";
     if (run.invalCount) {
         std::cout << "  invalidation rounds " << run.invalCount
-                  << ", avg "
-                  << static_cast<double>(run.invalCycles) /
-                         static_cast<double>(run.invalCount)
+                  << ", avg " << avg(run.invalCycles, run.invalCount)
                   << " cy";
-        std::size_t idom = 0;
-        for (std::size_t p = 1; p < run.invalPhases.size(); ++p)
-            if (run.invalPhases[p] > run.invalPhases[idom])
-                idom = p;
+        const std::size_t idom = largest(run.invalPhases);
         if (run.invalCycles) {
             std::cout << " (largest phase: " << phaseName(idom) << ", "
-                      << 100.0 *
-                             static_cast<double>(run.invalPhases[idom]) /
-                             static_cast<double>(run.invalCycles)
+                      << pct(run.invalPhases[idom], run.invalCycles)
                       << "%)";
         }
         std::cout << "\n";
@@ -283,12 +238,7 @@ printRun(const Run &run)
 void
 printShards(const Run &run)
 {
-    std::cout << "== " << run.label() << " "
-              << std::string(
-                     run.label().size() < 50 ? 50 - run.label().size()
-                                             : 1,
-                     '=')
-              << "\n";
+    banner(run);
     if (!run.hasShards || run.shardRows.empty()) {
         std::cout << "  (no shard telemetry — run with --shards N "
                      "--host-stats)\n";
@@ -307,15 +257,12 @@ printShards(const Run &run)
     std::cout << "  shard      executed   share   stallWin    "
                  "depIn      depOut     lastTick\n";
     for (const ShardRow &row : run.shardRows) {
-        const double share =
-            total ? 100.0 * static_cast<double>(row.executed) /
-                        static_cast<double>(total)
-                  : 0.0;
         std::cout << "  " << std::left << std::setw(7)
                   << (row.shard == 0 ? "0:host"
                                      : std::to_string(row.shard))
                   << std::right << std::setw(12) << row.executed
-                  << std::setw(7) << share << "%" << std::setw(11)
+                  << std::setw(7) << pct(row.executed, total) << "%"
+                  << std::setw(11)
                   << row.stallWindows << std::setw(11)
                   << row.depositsIn << std::setw(12) << row.depositsOut
                   << std::setw(13) << row.lastTick << "\n";
@@ -326,11 +273,7 @@ printShards(const Run &run)
         if (row.executed > busiest->executed)
             busiest = &row;
     std::cout << "  critical shard: " << busiest->shard << " ("
-              << (total ? 100.0 *
-                              static_cast<double>(busiest->executed) /
-                              static_cast<double>(total)
-                        : 0.0)
-              << "% of events";
+              << pct(busiest->executed, total) << "% of events";
     if (stallTotal)
         std::cout << "; " << stallTotal << " stalled shard-windows";
     std::cout << ")\n";
@@ -345,11 +288,10 @@ checkRun(const Run &run)
                   << ": no latency attribution data\n";
         return false;
     }
-    std::uint64_t dsum = 0, isum = 0;
-    for (const auto c : run.demandPhases)
-        dsum += c;
-    for (const auto c : run.invalPhases)
-        isum += c;
+    const std::uint64_t dsum = std::accumulate(
+        run.demandPhases.begin(), run.demandPhases.end(), std::uint64_t{0});
+    const std::uint64_t isum = std::accumulate(
+        run.invalPhases.begin(), run.invalPhases.end(), std::uint64_t{0});
     if (dsum != run.demandCycles) {
         std::cerr << "FAIL " << run.label() << ": demand phases sum to "
                   << dsum << " but end-to-end total is "
@@ -375,14 +317,8 @@ diffRuns(const Run &a, const Run &b)
     std::cout << "-- " << a.label() << " (A: " << a.file << ")  vs  "
               << b.label() << " (B: " << b.file << ") --\n";
     std::cout << std::fixed << std::setprecision(1);
-    const double avgA = a.demandCount
-                            ? static_cast<double>(a.demandCycles) /
-                                  static_cast<double>(a.demandCount)
-                            : 0.0;
-    const double avgB = b.demandCount
-                            ? static_cast<double>(b.demandCycles) /
-                                  static_cast<double>(b.demandCount)
-                            : 0.0;
+    const double avgA = avg(a.demandCycles, a.demandCount);
+    const double avgB = avg(b.demandCycles, b.demandCount);
     std::cout << "  avg demand miss latency: " << avgA << " -> " << avgB
               << " cy";
     if (avgA > 0.0)
@@ -477,7 +413,8 @@ main(int argc, char **argv)
     bool allOk = true;
     std::size_t total = 0;
     for (const std::string &file : files) {
-        const auto runs = parseRuns(file);
+        const auto runs = parseRuns(file); // empty: unreadable or bad
+        allOk = !runs.empty() && allOk;
         total += runs.size();
         for (const Run &run : runs) {
             if (check)

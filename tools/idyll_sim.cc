@@ -295,8 +295,15 @@ main(int argc, char **argv)
                       << "\n";
         if (opts.traceDigest)
             std::cout << system.traceDigest()->canonicalText();
-        if (!opts.digest && !opts.traceDigest)
+        if (!opts.digest && !opts.traceDigest) {
             printResults(r, opts.dumpStats);
+            if (opts.dumpStats) {
+                // Every registered statistic, gem5 stats-file style.
+                std::cout << "-- metrics ---------------------------------\n"
+                          << std::defaultfloat << std::setprecision(6);
+                system.dumpStats(std::cout);
+            }
+        }
         if (!opts.jsonOut.empty() &&
             !writeFile(opts.jsonOut, r.toJson() + "\n"))
             return 1;

@@ -21,55 +21,33 @@
  * grouped under the owning GPU's process (host channels under the
  * driver pid), so queue depths and occupancies render as stepped
  * area charts above the event lanes.
+ *
+ * Every input is read with the JSON reader (sim/json.hh): each trace
+ * line is parsed on its own, and a line that does not parse or lacks
+ * t/cat/op/gpu is skipped and counted.
  */
 
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace
 {
 
-/** Extract `"key":<number>` from a fixed-format JSONL line. */
-bool
-findNumber(const std::string &line, const std::string &key,
-           std::uint64_t &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtoull(line.c_str() + pos + needle.size(), nullptr, 10);
-    return true;
-}
-
-/** Extract `"key":"value"` from a fixed-format JSONL line. */
-bool
-findString(const std::string &line, const std::string &key,
-           std::string &out)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const auto start = pos + needle.size();
-    const auto end = line.find('"', start);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(start, end - start);
-    return true;
-}
+using idyll::JsonValue;
 
 /** Thread id for a category name (lane per category in Perfetto). */
 int
-categoryTid(const std::string &cat)
+categoryTid(std::string_view cat)
 {
     using idyll::TraceCategory;
     for (int i = 0;
@@ -85,10 +63,7 @@ constexpr std::uint64_t kHostPid = 999;
 std::uint64_t
 eventPid(std::uint64_t gpu)
 {
-    return gpu == static_cast<std::uint64_t>(
-                      static_cast<std::uint32_t>(idyll::kHostId))
-               ? kHostPid
-               : gpu;
+    return gpu == idyll::kHostId ? kHostPid : gpu;
 }
 
 /** One sampled channel from a sampler JSON file. */
@@ -102,12 +77,11 @@ struct SampleChannel
  * Emit the sampler ring in @p path as counter events. Accepts either
  * a bare sampler object (--sample-out) or a full results JSON with an
  * embedded "samples" object. Returns the number of counter events
- * written, or -1 on error. The scanner relies on the serializer's
- * fixed key order ("channels" before "records", "t" before "v").
+ * written, or -1 on error.
  */
 long
 emitCounterTracks(const std::string &path, std::ostream &out,
-                  bool &first, std::map<std::uint64_t, bool> &pids)
+                  bool &first, std::set<std::uint64_t> &pids)
 {
     std::ifstream in(path);
     if (!in) {
@@ -116,35 +90,32 @@ emitCounterTracks(const std::string &path, std::ostream &out,
     }
     std::stringstream buffer;
     buffer << in.rdbuf();
-    std::string text = buffer.str();
-    if (const auto samples = text.find("\"samples\":");
-        samples != std::string::npos)
-        text = text.substr(samples);
-
-    const auto chans = text.find("\"channels\":[");
-    const auto recs = text.find("\"records\":[");
-    if (chans == std::string::npos || recs == std::string::npos) {
+    idyll::JsonError error;
+    const auto root = idyll::parseJson(buffer.str(), &error);
+    if (!root) {
+        std::cerr << "error: " << path << ": byte " << error.offset
+                  << ": " << error.message << "\n";
+        return -1;
+    }
+    const JsonValue &sampler =
+        root->find("samples") ? (*root)["samples"] : *root;
+    const JsonValue *chans = sampler.find("channels");
+    const JsonValue *recs = sampler.find("records");
+    if (!chans || !recs) {
         std::cerr << "error: no sampler data in '" << path << "'\n";
         return -1;
     }
 
     std::vector<SampleChannel> channels;
-    for (auto pos = text.find('{', chans);
-         pos != std::string::npos && pos < recs;
-         pos = text.find('{', text.find('}', pos))) {
-        const auto end = text.find('}', pos);
-        const std::string obj = text.substr(pos, end - pos + 1);
-        SampleChannel ch;
-        if (!findString(obj, "name", ch.name))
+    for (const JsonValue &chan : chans->items()) {
+        const auto name = chan["name"].asString();
+        if (!name)
             break;
+        SampleChannel ch;
+        ch.name = idyll::jsonEscape(*name);
         // gpu is -1 for host/driver/network channels.
-        const auto gp = obj.find("\"gpu\":");
-        if (gp != std::string::npos) {
-            const long long gpu =
-                std::strtoll(obj.c_str() + gp + 6, nullptr, 10);
-            ch.pid = gpu < 0 ? kHostPid
-                             : static_cast<std::uint64_t>(gpu);
-        }
+        if (const auto gpu = chan["gpu"].asI64(); gpu && *gpu >= 0)
+            ch.pid = static_cast<std::uint64_t>(*gpu);
         channels.push_back(std::move(ch));
     }
     if (channels.empty()) {
@@ -153,29 +124,22 @@ emitCounterTracks(const std::string &path, std::ostream &out,
     }
 
     long events = 0;
-    for (auto pos = text.find('{', recs); pos != std::string::npos;
-         pos = text.find('{', text.find(']', pos))) {
+    for (const JsonValue &rec : recs->items()) {
         // Each record is {"t":T,"v":[v0,v1,...]}.
-        const std::string head = text.substr(pos, 64);
-        std::uint64_t t = 0;
-        if (!findNumber(head, "t", t))
+        const auto t = rec["t"].asU64();
+        if (!t)
             break;
-        auto vp = text.find("\"v\":[", pos);
-        if (vp == std::string::npos)
-            break;
-        vp += 5;
-        for (std::size_t ch = 0; ch < channels.size(); ++ch) {
-            char *end = nullptr;
-            const std::uint64_t v =
-                std::strtoull(text.c_str() + vp, &end, 10);
-            vp = static_cast<std::size_t>(end - text.c_str()) + 1;
+        const auto &values = rec["v"].items();
+        for (std::size_t ch = 0;
+             ch < channels.size() && ch < values.size(); ++ch) {
             out << (first ? "" : ",\n") << "{\"name\":\""
                 << channels[ch].name << "\",\"ph\":\"C\",\"ts\":"
-                << static_cast<double>(t) / 1000.0
+                << static_cast<double>(*t) / 1000.0
                 << ",\"pid\":" << channels[ch].pid
-                << ",\"args\":{\"value\":" << v << "}}";
+                << ",\"args\":{\"value\":"
+                << values[ch].asU64().value_or(0) << "}}";
             first = false;
-            pids[channels[ch].pid] = true;
+            pids.insert(channels[ch].pid);
             ++events;
         }
     }
@@ -219,7 +183,7 @@ main(int argc, char **argv)
 
     out << "{\"traceEvents\":[\n";
     bool first = true;
-    std::map<std::uint64_t, bool> pids; // pid -> seen (for metadata)
+    std::set<std::uint64_t> pids; // for the process-name metadata
     std::map<std::pair<std::uint64_t, int>, std::string> lanes;
     std::uint64_t records = 0, skipped = 0;
 
@@ -227,42 +191,39 @@ main(int argc, char **argv)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        std::uint64_t t = 0, gpu = 0, vpn = 0, a = 0, b = 0, c = 0;
-        std::string cat, op;
-        if (!findNumber(line, "t", t) || !findString(line, "cat", cat) ||
-            !findString(line, "op", op) || !findNumber(line, "gpu", gpu)) {
+        const JsonValue r = idyll::parseJson(line).value_or(JsonValue());
+        const auto tick = r["t"].asU64(), gpu = r["gpu"].asU64();
+        const auto cat = r["cat"].asString(), op = r["op"].asString();
+        if (!tick || !gpu || !cat || !op) {
             ++skipped;
             continue;
         }
-        findNumber(line, "vpn", vpn);
-        findNumber(line, "a", a);
-        findNumber(line, "b", b);
-        findNumber(line, "c", c);
+        const std::uint64_t t = *tick;
+        const std::uint64_t vpn = r["vpn"].asU64().value_or(0);
+        const std::uint64_t a = r["a"].asU64().value_or(0);
+        const std::uint64_t b = r["b"].asU64().value_or(0);
+        const std::uint64_t c = r["c"].asU64().value_or(0);
 
-        const std::uint64_t pid = eventPid(gpu);
-        const int tid = categoryTid(cat);
-        pids[pid] = true;
-        lanes[{pid, tid}] = cat;
+        const std::uint64_t pid = eventPid(*gpu);
+        const int tid = categoryTid(*cat);
+        pids.insert(pid);
+        lanes[{pid, tid}] = idyll::jsonEscape(*cat);
 
-        std::ostringstream ev;
         // "walk.done" carries the walk latency in `b`: render it as a
         // duration event spanning [t-b, t] so walker busy time shows
         // up as real intervals, not just ticks.
-        const bool span = op == "walk.done" && b > 0 && b <= t;
+        const bool span = *op == "walk.done" && b > 0 && b <= t;
         const double ts = static_cast<double>(span ? t - b : t) / 1000.0;
-        ev << "{\"name\":\"" << op << "\"";
-        if (span) {
-            ev << ",\"ph\":\"X\",\"dur\":"
-               << static_cast<double>(b) / 1000.0;
-        } else {
-            ev << ",\"ph\":\"i\",\"s\":\"t\"";
-        }
-        ev << ",\"ts\":" << ts << ",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"args\":{\"vpn\":" << vpn
-           << ",\"a\":" << a << ",\"b\":" << b << ",\"c\":" << c
-           << "}}";
-
-        out << (first ? "" : ",\n") << ev.str();
+        out << (first ? "" : ",\n") << "{\"name\":\""
+            << idyll::jsonEscape(*op) << "\"";
+        if (span)
+            out << ",\"ph\":\"X\",\"dur\":" << static_cast<double>(b) / 1000.0;
+        else
+            out << ",\"ph\":\"i\",\"s\":\"t\"";
+        out << ",\"ts\":" << ts << ",\"pid\":" << pid
+            << ",\"tid\":" << tid << ",\"args\":{\"vpn\":" << vpn
+            << ",\"a\":" << a << ",\"b\":" << b << ",\"c\":" << c
+            << "}}";
         first = false;
         ++records;
     }
@@ -276,8 +237,7 @@ main(int argc, char **argv)
 
     // Name the processes and lanes so Perfetto's track labels read as
     // "GPU 0 / tlb" instead of bare numbers.
-    for (const auto &[pid, seen] : pids) {
-        (void)seen;
+    for (const std::uint64_t pid : pids) {
         out << (first ? "" : ",\n")
             << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
             << ",\"args\":{\"name\":\""
