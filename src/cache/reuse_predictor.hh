@@ -46,7 +46,6 @@ class ReusePredictor
     bool
     predictDead(std::uint64_t key)
     {
-        _predictions.inc();
         const bool dead = _counters[indexOf(key)] >= kDeadThreshold;
         if (dead)
             _deadPredictions.inc();
@@ -83,7 +82,6 @@ class ReusePredictor
             --ctr;
     }
 
-    const Counter &predictions() const { return _predictions; }
     const Counter &deadPredictions() const { return _deadPredictions; }
     const Counter &trainedDead() const { return _trainDead; }
     const Counter &trainedLive() const { return _trainLive; }
@@ -100,7 +98,6 @@ class ReusePredictor
 
     std::vector<std::uint8_t> _counters;
     std::uint32_t _mask = 0;
-    Counter _predictions;
     Counter _deadPredictions;
     Counter _trainDead;
     Counter _trainLive;

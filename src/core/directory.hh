@@ -30,14 +30,20 @@ namespace idyll
 constexpr std::uint32_t kMaxDirectoryGpus = 4096;
 
 /** Directory statistics. */
-struct DirectoryStats
+struct DirectoryStats : MetricsGroup
 {
-    Counter bitSets;
-    Counter lookups;
-    Counter targetsSelected;  ///< GPUs chosen to receive invalidations
-    Counter broadcastAvoided; ///< GPUs skipped relative to broadcast
-    Counter scrubbedBits;     ///< dead-GPU slots cleared on hot-unplug
-    Counter scrubAliased;     ///< dead-GPU slots kept (alive GPU aliases)
+    DirectoryStats() : MetricsGroup("directory") {}
+
+    Counter bitSets{*this, "bitSets"};
+    Counter lookups{*this, "lookups"};
+    /// GPUs chosen to receive invalidations
+    Counter targetsSelected{*this, "targetsSelected"};
+    /// GPUs skipped relative to broadcast
+    Counter broadcastAvoided{*this, "broadcastAvoided"};
+    /// dead-GPU slots cleared on hot-unplug
+    Counter scrubbedBits{*this, "scrubbedBits"};
+    /// dead-GPU slots kept (alive GPU aliases)
+    Counter scrubAliased{*this, "scrubAliased"};
 };
 
 /** Hash-mapped access-bit directory over the host PTE's unused bits. */

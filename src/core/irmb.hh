@@ -37,19 +37,31 @@ namespace idyll
 {
 
 /** IRMB statistics. */
-struct IrmbStats
+struct IrmbStats : MetricsGroup
 {
-    Counter inserts;         ///< invalidation requests buffered
-    Counter merges;          ///< inserts that matched an existing base
-    Counter duplicates;      ///< inserts whose offset was already held
-    Counter lookupHits;      ///< demand probes that hit (walk bypassed)
-    Counter lookupMisses;
-    Counter baseEvictions;   ///< merged entries evicted (capacity)
-    Counter offsetFlushes;   ///< entries flushed because offsets filled
-    Counter idleWritebacks;  ///< entries drained by an idle walker
-    Counter elided;          ///< invalidations removed by a new mapping
-    Counter writtenBack;     ///< individual VPNs sent to the walker
-    Counter scrubbed;        ///< VPNs discarded by a hot-unplug scrub
+    IrmbStats() : MetricsGroup("irmb") {}
+
+    /// invalidation requests buffered
+    Counter inserts{*this, "inserts"};
+    /// inserts that matched an existing base
+    Counter merges{*this, "merges"};
+    /// inserts whose offset was already held
+    Counter duplicates{*this, "duplicates"};
+    /// demand probes that hit (walk bypassed)
+    Counter lookupHits{*this, "lookupHits"};
+    Counter lookupMisses{*this, "lookupMisses"};
+    /// merged entries evicted (capacity)
+    Counter baseEvictions{*this, "baseEvictions"};
+    /// entries flushed because offsets filled
+    Counter offsetFlushes{*this, "offsetFlushes"};
+    /// entries drained by an idle walker
+    Counter idleWritebacks{*this, "idleWritebacks"};
+    /// invalidations removed by a new mapping
+    Counter elided{*this, "elided"};
+    /// individual VPNs sent to the walker
+    Counter writtenBack{*this, "writtenBack"};
+    /// VPNs discarded by a hot-unplug scrub
+    Counter scrubbed{*this, "scrubbed"};
 };
 
 /** The merging buffer. */

@@ -24,7 +24,8 @@ ShardScheduler::ShardScheduler(EventQueue &root, std::uint32_t shards,
         _extra.push_back(std::move(q));
     }
     _outboxes.resize(static_cast<std::size_t>(shards) * shards);
-    _stats.resize(shards);
+    for (std::uint32_t s = 0; s < shards; ++s)
+        _metrics.addChild(_stats.emplace_back(s));
     _prevExecuted.assign(shards, 0);
     _root.setShardLabel("shard 0");
     _root.setRouter(this);
@@ -82,8 +83,6 @@ ShardScheduler::addRendezvousHook(std::function<void()> hook)
 void
 ShardScheduler::noteWindowStats()
 {
-    _windowsCounter.reset();
-    _windowsCounter.inc(_windows);
     for (std::uint32_t s = 0; s < _shards; ++s) {
         const EventQueue &q = shardQueue(s);
         ShardStats &stats = _stats[s];
@@ -187,7 +186,7 @@ ShardScheduler::runSharded(Tick maxTick)
                                                : t + _lookahead;
         _horizon = std::min(_horizon, maxTick);
         _inWindow = true;
-        ++_windows;
+        _windows.inc();
         _rendezvous.arrive_and_wait();
         {
             ShardScope scope(_root, 0);

@@ -36,8 +36,10 @@
 
 #include <barrier>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,28 +79,43 @@ class ShardScheduler : public ShardRouter
     std::uint64_t shardExecuted(std::uint32_t shard) const;
 
     /** Rendezvous windows driven so far. */
-    std::uint64_t windows() const { return _windows; }
+    std::uint64_t windows() const { return _windows.value(); }
 
     /**
      * Per-shard heartbeat counters, refreshed at every rendezvous on
-     * the main thread. Registered into the harness metrics tree and
+     * the main thread. Dumped by --stats under metrics() and
      * serialized as the results-JSON shard telemetry section; safe to
      * read whenever the run is quiescent (between windows or after
      * runSharded returns).
      */
-    struct ShardStats
+    struct ShardStats : MetricsGroup
     {
-        Counter lastTick;     ///< shard clock at the last rendezvous
-        Counter executed;     ///< cumulative events dispatched
-        Counter stallWindows; ///< windows this shard dispatched nothing
-        Counter depositsIn;   ///< cross-shard deliveries received
-        Counter depositsOut;  ///< cross-shard deliveries sent
+        explicit ShardStats(std::uint32_t shard)
+            : MetricsGroup("shard" + std::to_string(shard))
+        {
+            setLabel("shard", std::to_string(shard));
+        }
+
+        /// shard clock at the last rendezvous
+        Counter lastTick{*this, "lastTick"};
+        /// cumulative events dispatched
+        Counter executed{*this, "executed"};
+        /// windows this shard dispatched nothing
+        Counter stallWindows{*this, "stallWindows"};
+        /// cross-shard deliveries received
+        Counter depositsIn{*this, "depositsIn"};
+        /// cross-shard deliveries sent
+        Counter depositsOut{*this, "depositsOut"};
     };
 
     const ShardStats &shardStats(std::uint32_t shard) const;
 
-    /** Rendezvous windows, as a registrable counter. */
-    const Counter &windowsCounter() const { return _windowsCounter; }
+    /**
+     * The "shards" group: rendezvous windows and every ShardStats.
+     * Kept out of the system's tree so the results-JSON metrics stay
+     * identical across shard counts.
+     */
+    const MetricsGroup &metrics() const { return _metrics; }
 
     /**
      * Install a hook run on the main thread after every rendezvous
@@ -138,10 +155,10 @@ class ShardScheduler : public ShardRouter
     Tick _horizon = 0;
     bool _stop = false;
     bool _inWindow = false;
-    std::uint64_t _windows = 0;
-    Counter _windowsCounter;
 
-    std::vector<ShardStats> _stats;          ///< one per shard
+    MetricsGroup _metrics{"shards"};
+    Counter _windows{_metrics, "windows"};
+    std::deque<ShardStats> _stats;            ///< one per shard
     std::vector<std::uint64_t> _prevExecuted; ///< stall detection
     std::vector<std::function<void()>> _hooks;
 };

@@ -30,14 +30,18 @@ namespace idyll
 {
 
 /** PRT statistics. */
-struct TransFwStats
+struct TransFwStats : MetricsGroup
 {
-    Counter records;
-    Counter probes;
-    Counter probeHits;
-    Counter remoteConfirms;  ///< remote lookup found a valid PTE
-    Counter remoteRejects;   ///< false positive, fell back to host
-    Counter evictions;
+    TransFwStats() : MetricsGroup("transFw") {}
+
+    Counter records{*this, "records"};
+    Counter probes{*this, "probes"};
+    Counter probeHits{*this, "probeHits"};
+    /// remote lookup found a valid PTE
+    Counter remoteConfirms{*this, "remoteConfirms"};
+    /// false positive, fell back to host
+    Counter remoteRejects{*this, "remoteRejects"};
+    Counter evictions{*this, "evictions"};
 };
 
 /** Per-GPU Page Residency Table of remote-mapping fingerprints. */

@@ -36,16 +36,20 @@ struct VmDirAccess
 };
 
 /** VM directory statistics. */
-struct VmDirectoryStats
+struct VmDirectoryStats : MetricsGroup
 {
-    Counter cacheHits;
-    Counter cacheMisses;
-    Counter tableReads;
-    Counter writebacks;
-    Counter bitSets;
-    Counter migrationLookups;
-    Counter scrubbedBits;  ///< dead-GPU slots cleared on hot-unplug
-    Counter scrubAliased;  ///< dead-GPU slots kept (alive GPU aliases)
+    VmDirectoryStats() : MetricsGroup("vmDirectory") {}
+
+    Counter cacheHits{*this, "cacheHits"};
+    Counter cacheMisses{*this, "cacheMisses"};
+    Counter tableReads{*this, "tableReads"};
+    Counter writebacks{*this, "writebacks"};
+    Counter bitSets{*this, "bitSets"};
+    Counter migrationLookups{*this, "migrationLookups"};
+    /// dead-GPU slots cleared on hot-unplug
+    Counter scrubbedBits{*this, "scrubbedBits"};
+    /// dead-GPU slots kept (alive GPU aliases)
+    Counter scrubAliased{*this, "scrubAliased"};
 };
 
 /** The in-memory directory with its cache. */

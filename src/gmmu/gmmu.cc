@@ -10,6 +10,8 @@ Gmmu::Gmmu(EventQueue &eq, const GmmuConfig &cfg, const AddrLayout &layout,
     : _eq(eq), _cfg(cfg), _layout(layout), _pt(pt),
       _mmuCache(cfg, layout), _walkers(cfg.walkerThreads)
 {
+    for (std::uint32_t lvl = 1; lvl <= _mmuCache.numCachedLevels(); ++lvl)
+        _stats.addChild(_mmuCache.levelStats(lvl));
 }
 
 void

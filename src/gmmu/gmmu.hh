@@ -72,19 +72,25 @@ struct WalkRequest
 };
 
 /** GMMU statistics. */
-struct GmmuStats
+struct GmmuStats : MetricsGroup
 {
-    Counter demandWalks;
-    Counter invalWalks;      ///< individual PTE invalidations executed
-    Counter updateWalks;
-    Counter batchWalks;      ///< batch requests (not individual VPNs)
-    Counter queueFullStalls; ///< NACKed submits (one per retry spin)
-    AvgStat queueWait;       ///< cycles from first submit to dispatch
-    AvgStat demandWalkLatency;
-    AvgStat invalWalkLatency;
-    Counter busyDemandCycles;
-    Counter busyInvalCycles;
-    Counter busyUpdateCycles;
+    GmmuStats() : MetricsGroup("gmmu") {}
+
+    Counter demandWalks{*this, "demandWalks"};
+    /// individual PTE invalidations executed
+    Counter invalWalks{*this, "invalWalks"};
+    Counter updateWalks{*this, "updateWalks"};
+    /// batch requests (not individual VPNs)
+    Counter batchWalks{*this, "batchWalks"};
+    /// NACKed submits (one per retry spin)
+    Counter queueFullStalls{*this, "queueFullStalls"};
+    /// cycles from first submit to dispatch
+    AvgStat queueWait{*this, "queueWait"};
+    AvgStat demandWalkLatency{*this, "demandWalkLatency"};
+    AvgStat invalWalkLatency{*this, "invalWalkLatency"};
+    Counter busyDemandCycles{*this, "busyDemandCycles"};
+    Counter busyInvalCycles{*this, "busyInvalCycles"};
+    Counter busyUpdateCycles{*this, "busyUpdateCycles"};
 };
 
 /** The GMMU. */

@@ -29,7 +29,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/reuse_predictor.hh"
@@ -64,8 +66,8 @@ class MmuCacheHierarchy
                     level - 1, cfg.mmuCache.size() - 1)];
             _levels.emplace_back(geo.entries,
                                  std::min(geo.entries, geo.ways));
+            _stats.emplace_back(level);
         }
-        _stats.resize(levels);
         if (cfg.deadEntryEviction) {
             _pred = std::make_unique<ReusePredictor>();
             for (auto &array : _levels)
@@ -73,13 +75,21 @@ class MmuCacheHierarchy
         }
     }
 
-    /** Per-level metrics, exported into the harness registry. */
-    struct LevelStats
+    /** Per-level metrics; the owning GMMU attaches them to its group. */
+    struct LevelStats : MetricsGroup
     {
-        Counter hits;   ///< probes answered at this level
-        Counter misses; ///< probes that missed this level
-        Counter fills;
-        Counter staleDrops; ///< hits below the present path, erased
+        explicit LevelStats(std::uint32_t level)
+            : MetricsGroup("mmuCacheL" + std::to_string(level))
+        {
+        }
+
+        /// probes answered at this level
+        Counter hits{*this, "hits"};
+        /// probes that missed this level
+        Counter misses{*this, "misses"};
+        Counter fills{*this, "fills"};
+        /// hits below the present path, erased
+        Counter staleDrops{*this, "staleDrops"};
     };
 
     /**
@@ -224,7 +234,7 @@ class MmuCacheHierarchy
 
     AddrLayout _layout;
     std::vector<SetAssocArray<std::uint64_t, std::uint8_t>> _levels;
-    std::vector<LevelStats> _stats;
+    std::deque<LevelStats> _stats; ///< a deque: groups never move
     std::unique_ptr<ReusePredictor> _pred;
     Counter _probeHits;
     Counter _probeMisses;

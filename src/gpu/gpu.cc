@@ -12,10 +12,12 @@ Gpu::Gpu(EventQueue &eq, const SystemConfig &cfg, GpuId id, Network &net,
          const AddrLayout &layout)
     : _eq(eq), _cfg(cfg), _id(id), _net(net), _layout(layout),
       _localPt(layout), _tlbs(cfg), _gmmu(eq, cfg.gmmu, layout, _localPt),
-      _mshr(cfg.l2MshrEntries)
+      _mshr(cfg.l2MshrEntries), _stats(id)
 {
+    _stats.addChild(_gmmu.stats());
     if (cfg.invalApply == InvalApply::Lazy) {
         _irmb = std::make_unique<Irmb>(cfg.irmb, layout);
+        _stats.addChild(_irmb->stats());
         if (cfg.irmb.idleDrain) {
             _gmmu.setIdleHook([this] {
                 if (_dead)
@@ -26,8 +28,10 @@ Gpu::Gpu(EventQueue &eq, const SystemConfig &cfg, GpuId id, Network &net,
             });
         }
     }
-    if (cfg.transFw.enabled)
+    if (cfg.transFw.enabled) {
         _prt = std::make_unique<TransFwPrt>(cfg.transFw, id);
+        _stats.addChild(_prt->stats());
+    }
 }
 
 // --------------------------------------------------------------------

@@ -37,34 +37,48 @@ namespace idyll
 class TranslationOracle;
 
 /** Per-GPU statistics. */
-struct GpuStats
+struct GpuStats : MetricsGroup
 {
-    Counter accesses;
-    Counter localAccesses;
-    Counter remoteAccesses;
-    Counter instructions;
+    explicit GpuStats(GpuId id) : MetricsGroup("gpu" + std::to_string(id))
+    {
+        setLabel("gpu", std::to_string(id));
+    }
 
-    Counter demandTlbMisses;        ///< requests that missed the L2 TLB
-    AvgStat demandTlbMissLatency;   ///< L2 miss -> translation done
-    Counter farFaultsRaised;
-    Counter writePermissionFaults;
-    Counter mshrRetries;
+    Counter accesses{*this, "accesses"};
+    Counter localAccesses{*this, "localAccesses"};
+    Counter remoteAccesses{*this, "remoteAccesses"};
+    Counter instructions{*this, "instructions"};
 
-    Counter invalsReceived;
-    Counter invalsNecessary;        ///< local mapping was logically valid
-    AvgStat invalApplyLatency;      ///< receipt -> PTE updated (immediate)
-    AvgStat invalWritebackShare;    ///< per-VPN share of batch walks (lazy)
-    Counter tlbShootdownHits;
+    /// requests that missed the L2 TLB
+    Counter demandTlbMisses{*this, "demandTlbMisses"};
+    /// L2 miss -> translation done
+    AvgStat demandTlbMissLatency{*this, "demandTlbMissLatency"};
+    Counter farFaultsRaised{*this, "farFaultsRaised"};
+    Counter writePermissionFaults{*this, "writePermissionFaults"};
+    Counter mshrRetries{*this, "mshrRetries"};
 
-    Counter dupInvalsIgnored;       ///< duplicate/retried rounds elided
+    Counter invalsReceived{*this, "invalsReceived"};
+    /// local mapping was logically valid
+    Counter invalsNecessary{*this, "invalsNecessary"};
+    /// receipt -> PTE updated (immediate)
+    AvgStat invalApplyLatency{*this, "invalApplyLatency"};
+    /// per-VPN share of batch walks (lazy)
+    AvgStat invalWritebackShare{*this, "invalWritebackShare"};
+    Counter tlbShootdownHits{*this, "tlbShootdownHits"};
 
-    Counter migRequestsSent;
-    Counter irmbBypassedWalks;      ///< L2-miss/IRMB-hit fast faults
+    /// duplicate/retried rounds elided
+    Counter dupInvalsIgnored{*this, "dupInvalsIgnored"};
 
-    Counter transFwForwarded;       ///< faults resolved GPU-to-GPU
-    Counter transFwFallbacks;
+    Counter migRequestsSent{*this, "migRequestsSent"};
+    /// L2-miss/IRMB-hit fast faults
+    Counter irmbBypassedWalks{*this, "irmbBypassedWalks"};
 
-    Counter deadHomeRetries;        ///< remote reads bounced off a dead home
+    /// faults resolved GPU-to-GPU
+    Counter transFwForwarded{*this, "transFwForwarded"};
+    Counter transFwFallbacks{*this, "transFwFallbacks"};
+
+    /// remote reads bounced off a dead home
+    Counter deadHomeRetries{*this, "deadHomeRetries"};
 };
 
 /** The GPU device model. */

@@ -91,10 +91,12 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig cfg)
             _eq, shards, _cfg.numGpus, lookahead);
     }
 
+    _metrics.addChild(_driver.stats());
     _gpus.reserve(_cfg.numGpus);
     for (GpuId id = 0; id < _cfg.numGpus; ++id) {
         _gpus.push_back(
             std::make_unique<Gpu>(_eq, _cfg, id, _net, _layout));
+        _metrics.addChild(_gpus.back()->stats());
     }
 
     std::vector<GpuItf *> itfs;
@@ -691,10 +693,7 @@ MultiGpuSystem::collectResults(const std::string &app) const
 
     if (_digestSink)
         r.traceDigest = _digestSink->canonicalLine();
-    // Exclude run telemetry: the metrics blob inside results JSON must
-    // stay byte-identical across shard counts (the dedicated
-    // shardTelemetry section below carries the per-shard counters).
-    r.metricsJson = buildMetrics(false)->toJson();
+    r.metricsJson = _metrics.toJson();
 
     if (_latency) {
         r.latDemandCount = _latency->finished(RequestKind::Demand);
@@ -716,118 +715,12 @@ MultiGpuSystem::collectResults(const std::string &app) const
     return r;
 }
 
-std::unique_ptr<MetricsRegistry>
-MultiGpuSystem::buildMetrics(bool runTelemetry) const
-{
-    // The registry borrows the stat pointers; the components (and thus
-    // the stat objects) outlive the returned registry in every caller.
-    auto root = std::make_unique<MetricsRegistry>("system");
-
-    MetricsGroup &driver = root->child("driver");
-    const DriverStats &ds = _driver.stats();
-    driver.registerCounter("farFaults", &ds.farFaults);
-    driver.registerCounter("blockedFaults", &ds.blockedFaults);
-    driver.registerCounter("firstTouches", &ds.firstTouches);
-    driver.registerCounter("remoteMappings", &ds.remoteMappings);
-    driver.registerCounter("replications", &ds.replications);
-    driver.registerCounter("collapses", &ds.collapses);
-    driver.registerCounter("migrations", &ds.migrations);
-    driver.registerCounter("invalSent", &ds.invalSent);
-    driver.registerCounter("invalNecessary", &ds.invalNecessary);
-    driver.registerCounter("invalUnnecessary", &ds.invalUnnecessary);
-    driver.registerCounter("gpusUnplugged", &ds.gpusUnplugged);
-    driver.registerCounter("rehomedPages", &ds.rehomedPages);
-    driver.registerCounter("replicasPromoted", &ds.replicasPromoted);
-    driver.registerCounter("orphanShootdowns", &ds.orphanShootdowns);
-    driver.registerCounter("duplicateMigrationRequests",
-                           &ds.duplicateMigrationRequests);
-    driver.registerCounter("duplicateAcks", &ds.duplicateAcks);
-    driver.registerCounter("staleAcks", &ds.staleAcks);
-    driver.registerCounter("quarantinedMessages", &ds.quarantinedMessages);
-    driver.registerCounter("invalSelfAcks", &ds.invalSelfAcks);
-    driver.registerAvg("hostWalkLatency", &ds.hostWalkLatency);
-    driver.registerAvg("migrationWait", &ds.migrationWait);
-    driver.registerAvg("migrationTotal", &ds.migrationTotal);
-    driver.registerAvg("faultResolveLatency", &ds.faultResolveLatency);
-
-    for (const auto &gpu : _gpus) {
-        MetricsGroup &group =
-            root->child("gpu" + std::to_string(gpu->id()));
-        group.setLabel("gpu", std::to_string(gpu->id()));
-        const GpuStats &gs = gpu->stats();
-        group.registerCounter("accesses", &gs.accesses);
-        group.registerCounter("localAccesses", &gs.localAccesses);
-        group.registerCounter("remoteAccesses", &gs.remoteAccesses);
-        group.registerCounter("instructions", &gs.instructions);
-        group.registerCounter("demandTlbMisses", &gs.demandTlbMisses);
-        group.registerCounter("farFaultsRaised", &gs.farFaultsRaised);
-        group.registerCounter("invalsReceived", &gs.invalsReceived);
-        group.registerCounter("migRequestsSent", &gs.migRequestsSent);
-        group.registerCounter("irmbBypassedWalks", &gs.irmbBypassedWalks);
-        group.registerAvg("demandTlbMissLatency",
-                          &gs.demandTlbMissLatency);
-        group.registerAvg("invalApplyLatency", &gs.invalApplyLatency);
-
-        const GmmuStats &ms = const_cast<Gpu &>(*gpu).gmmu().stats();
-        group.registerCounter("gmmu.demandWalks", &ms.demandWalks);
-        group.registerCounter("gmmu.invalWalks", &ms.invalWalks);
-        group.registerCounter("gmmu.updateWalks", &ms.updateWalks);
-        group.registerCounter("gmmu.busyDemandCycles",
-                              &ms.busyDemandCycles);
-        group.registerCounter("gmmu.busyInvalCycles",
-                              &ms.busyInvalCycles);
-        group.registerCounter("gmmu.queueFullStalls",
-                              &ms.queueFullStalls);
-        group.registerAvg("gmmu.queueWait", &ms.queueWait);
-
-        auto &mmuCache = const_cast<Gpu &>(*gpu).gmmu().mmuCache();
-        for (std::uint32_t lvl = 1; lvl <= mmuCache.numCachedLevels();
-             ++lvl) {
-            const auto &ls = mmuCache.levelStats(lvl);
-            const std::string prefix =
-                "gmmu.mmuCacheL" + std::to_string(lvl) + ".";
-            group.registerCounter(prefix + "hits", &ls.hits);
-            group.registerCounter(prefix + "misses", &ls.misses);
-            group.registerCounter(prefix + "fills", &ls.fills);
-            group.registerCounter(prefix + "staleDrops",
-                                  &ls.staleDrops);
-        }
-
-        if (const Irmb *irmb = gpu->irmb()) {
-            const IrmbStats &is = irmb->stats();
-            group.registerCounter("irmb.inserts", &is.inserts);
-            group.registerCounter("irmb.lookupHits", &is.lookupHits);
-            group.registerCounter("irmb.elided", &is.elided);
-            group.registerCounter("irmb.writtenBack", &is.writtenBack);
-        }
-    }
-
-    // Live run telemetry: shard heartbeats for --stats dumps and
-    // in-process consumers. Excluded from results-JSON metrics (see
-    // collectResults) so that blob stays identical across shard
-    // counts.
-    if (runTelemetry && _sharder) {
-        MetricsGroup &shards = root->child("shards");
-        shards.registerCounter("windows", &_sharder->windowsCounter());
-        for (std::uint32_t s = 0; s < _sharder->shardCount(); ++s) {
-            MetricsGroup &g =
-                shards.child("shard" + std::to_string(s));
-            g.setLabel("shard", std::to_string(s));
-            const auto &st = _sharder->shardStats(s);
-            g.registerCounter("lastTick", &st.lastTick);
-            g.registerCounter("executed", &st.executed);
-            g.registerCounter("stallWindows", &st.stallWindows);
-            g.registerCounter("depositsIn", &st.depositsIn);
-            g.registerCounter("depositsOut", &st.depositsOut);
-        }
-    }
-    return root;
-}
-
 void
 MultiGpuSystem::dumpStats(std::ostream &os) const
 {
-    buildMetrics()->dump(os);
+    _metrics.dump(os);
+    if (_sharder)
+        _sharder->metrics().dump(os, _metrics.name());
 }
 
 std::string

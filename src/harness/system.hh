@@ -92,20 +92,10 @@ class MultiGpuSystem
 
     /**
      * Dump every component statistic as "path value" lines (gem5
-     * stats-file style). Valid any time; most useful after run().
+     * stats-file style), then the shard scheduler's "shards" group on
+     * sharded runs. Valid any time; most useful after run().
      */
     void dumpStats(std::ostream &os) const;
-
-    /**
-     * Build the hierarchical metrics registry over every component's
-     * stat objects. The registry borrows the stat pointers, so it must
-     * not outlive this system. @p runTelemetry adds the per-shard
-     * heartbeat group ("shards") on sharded runs; collectResults()
-     * passes false so the results-JSON metrics blob stays identical
-     * across shard counts.
-     */
-    std::unique_ptr<MetricsRegistry>
-    buildMetrics(bool runTelemetry = true) const;
 
     /** The tracer, if cfg.trace.categories is nonempty (else nullptr). */
     Tracer *tracer() { return _tracer.get(); }
@@ -204,6 +194,8 @@ class MultiGpuSystem
     Network _net;
     UvmDriver _driver;
     std::vector<std::unique_ptr<Gpu>> _gpus;
+    /** Root of the metrics tree: the driver's and each GPU's group. */
+    MetricsGroup _metrics{"system"};
     std::unique_ptr<TranslationOracle> _oracle;
     std::unique_ptr<FaultInjector> _injector;
     std::unique_ptr<FaultDomainController> _faultDomain;

@@ -60,14 +60,6 @@ enum class MsgClass : std::uint8_t
 
 constexpr std::uint32_t kNumMsgClasses = 8;
 
-/** Per-link traffic statistics. */
-struct LinkStats
-{
-    Counter messages;
-    Counter bytes;
-    AvgStat queueDelay;
-};
-
 /** The system interconnect. */
 class Network
 {

@@ -1,56 +1,47 @@
 #include "sim/metrics.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "sim/json.hh"
+#include "sim/logging.hh"
 
 namespace idyll
 {
 
-void
-MetricsGroup::registerCounter(const std::string &name, const Counter *c)
+namespace
 {
-    IDYLL_ASSERT(c, "null counter registered");
-    _counters[name] = c;
+
+/** @p stats in name order; a name registered twice is a bug. */
+template <typename Named>
+Named
+byName(Named stats)
+{
+    const auto less = [](const auto &a, const auto &b) {
+        return std::strcmp(a.first, b.first) < 0;
+    };
+    std::sort(stats.begin(), stats.end(), less);
+    for (std::size_t i = 1; i < stats.size(); ++i)
+        IDYLL_ASSERT(less(stats[i - 1], stats[i]),
+                     "statistic registered twice: ", stats[i].first);
+    return stats;
 }
 
-void
-MetricsGroup::registerAvg(const std::string &name, const AvgStat *a)
-{
-    IDYLL_ASSERT(a, "null avg registered");
-    _avgs[name] = a;
-}
-
-void
-MetricsGroup::registerDist(const std::string &name, const Distribution *d)
-{
-    IDYLL_ASSERT(d, "null distribution registered");
-    _dists[name] = d;
-}
-
-MetricsGroup &
-MetricsGroup::child(const std::string &name)
-{
-    for (const auto &c : _children) {
-        if (c->name() == name)
-            return *c;
-    }
-    _children.push_back(std::make_unique<MetricsGroup>(name));
-    return *_children.back();
-}
+} // namespace
 
 void
 MetricsGroup::dump(std::ostream &os, const std::string &prefix) const
 {
     const std::string base =
         prefix.empty() ? _name : prefix + "." + _name;
-    for (const auto &[name, counter] : _counters)
+    for (const auto &[name, counter] : byName(_counters))
         os << base << "." << name << " " << counter->value() << "\n";
-    for (const auto &[name, avg] : _avgs) {
+    for (const auto &[name, avg] : byName(_avgs)) {
         os << base << "." << name << ".mean " << avg->mean() << "\n";
         os << base << "." << name << ".count " << avg->count() << "\n";
     }
-    for (const auto &child : _children)
+    for (const MetricsGroup *child : _children)
         child->dump(os, base);
 }
 
@@ -81,24 +72,14 @@ MetricsGroup::jsonInto(std::ostream &os) const
     section("labels", _labels, [&](const auto &label) {
         key(label.first) << "\"" << jsonEscape(label.second) << "\"";
     });
-    section("counters", _counters, [&](const auto &counter) {
+    section("counters", byName(_counters), [&](const auto &counter) {
         key(counter.first) << counter.second->value();
     });
-    section("avgs", _avgs, [&](const auto &avg) {
-        key(avg.first) << "{\"mean\": " << avg.second->mean()
+    section("avgs", byName(_avgs), [&](const auto &avg) {
+        key(avg.first) << "{\"mean\": " << jsonNumber(avg.second->mean())
                        << ", \"count\": " << avg.second->count() << "}";
     });
-    section("dists", _dists, [&](const auto &dist) {
-        key(dist.first) << "{\"width\": " << dist.second->bucketWidth()
-                        << ", \"buckets\": [";
-        const char *comma = "";
-        for (std::uint64_t b : dist.second->buckets()) {
-            os << comma << b;
-            comma = ", ";
-        }
-        os << "]}";
-    });
-    section("children", _children, [&](const auto &child) {
+    section("children", _children, [&](const MetricsGroup *child) {
         key(child->name());
         child->jsonInto(os);
     });
@@ -111,53 +92,6 @@ MetricsGroup::toJson() const
     std::ostringstream os;
     jsonInto(os);
     return os.str();
-}
-
-namespace
-{
-
-/** Split "a.b.c" into a head "a" and tail "b.c" (tail empty if none). */
-std::pair<std::string, std::string>
-splitPath(const std::string &path)
-{
-    const std::size_t dot = path.find('.');
-    if (dot == std::string::npos)
-        return {path, ""};
-    return {path.substr(0, dot), path.substr(dot + 1)};
-}
-
-} // namespace
-
-const Counter *
-MetricsGroup::findCounter(const std::string &path) const
-{
-    const auto it = _counters.find(path);
-    if (it != _counters.end())
-        return it->second;
-    const auto [head, tail] = splitPath(path);
-    if (tail.empty())
-        return nullptr;
-    for (const auto &child : _children) {
-        if (child->name() == head)
-            return child->findCounter(tail);
-    }
-    return nullptr;
-}
-
-const AvgStat *
-MetricsGroup::findAvg(const std::string &path) const
-{
-    const auto it = _avgs.find(path);
-    if (it != _avgs.end())
-        return it->second;
-    const auto [head, tail] = splitPath(path);
-    if (tail.empty())
-        return nullptr;
-    for (const auto &child : _children) {
-        if (child->name() == head)
-            return child->findAvg(tail);
-    }
-    return nullptr;
 }
 
 } // namespace idyll

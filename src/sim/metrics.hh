@@ -2,22 +2,30 @@
  * @file
  * Hierarchical metrics registry.
  *
- * Components own typed stat objects (Counter, AvgStat, Distribution)
- * and register them — by raw pointer — with a MetricsGroup. Groups
- * nest into a tree whose root is conventionally called the registry;
- * the harness builds one over a whole system to
-
+ * A component's statistics holder is a MetricsGroup, and each of its
+ * Counter/AvgStat members registers itself by name as it is built:
+ *
+ *     struct IrmbStats : MetricsGroup
+ *     {
+ *         IrmbStats() : MetricsGroup("irmb") {}
+ *         Counter inserts{*this, "inserts"};
+ *     };
+ *
+ * so a declared statistic cannot be left out of the outputs. Owners
+ * attach their components' groups to their own with addChild(); the
+ * system's root group ("system") is the whole tree. The tree can
+ *
  *  - dump every statistic as "path value" text lines (gem5 stats-file
- *    style, byte-compatible with the historical StatGroup output),
- *  - serialize the same tree as nested JSON for SimResults::toJson,
- *  - look values up programmatically by dotted path.
+ *    style),
+ *  - serialize as nested JSON for SimResults::toJson.
  *
  * Groups may carry string labels ("gpu" -> "2") that serialize into
  * the JSON form, so per-GPU instances are queryable without parsing
  * the group name.
  *
- * Registration stores raw pointers; the owning component must outlive
- * the group (in practice both live inside the same System object).
+ * Groups store raw pointers to their statistics, names and children:
+ * names must be string literals, and an attached child must outlive
+ * every dump of its parent (in practice all live inside one System).
  */
 
 #ifndef IDYLL_SIM_METRICS_HH
@@ -25,20 +33,24 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "sim/logging.hh"
 
 namespace idyll
 {
+
+class MetricsGroup;
 
 /** Monotonically increasing event count. */
 class Counter
 {
   public:
+    Counter() = default;
+    /** A counter registered as @p name in @p group. */
+    Counter(MetricsGroup &group, const char *name);
+
     void inc(std::uint64_t n = 1) { _value += n; }
     std::uint64_t value() const { return _value; }
     void reset() { _value = 0; }
@@ -51,15 +63,15 @@ class Counter
 class AvgStat
 {
   public:
+    AvgStat() = default;
+    /** An average registered as @p name in @p group. */
+    AvgStat(MetricsGroup &group, const char *name);
+
     void
     sample(double v)
     {
         _sum += v;
         ++_count;
-        if (_count == 1 || v < _min)
-            _min = v;
-        if (_count == 1 || v > _max)
-            _max = v;
     }
 
     /**
@@ -71,12 +83,6 @@ class AvgStat
     void
     merge(const AvgStat &o)
     {
-        if (o._count == 0)
-            return;
-        if (_count == 0 || o._min < _min)
-            _min = o._min;
-        if (_count == 0 || o._max > _max)
-            _max = o._max;
         _sum += o._sum;
         _count += o._count;
     }
@@ -84,60 +90,23 @@ class AvgStat
     double sum() const { return _sum; }
     std::uint64_t count() const { return _count; }
     double mean() const { return _count ? _sum / _count : 0.0; }
-    double min() const { return _count ? _min : 0.0; }
-    double max() const { return _count ? _max : 0.0; }
 
     void
     reset()
     {
         _sum = 0.0;
         _count = 0;
-        _min = 0.0;
-        _max = 0.0;
     }
 
   private:
     double _sum = 0.0;
     std::uint64_t _count = 0;
-    double _min = 0.0;
-    double _max = 0.0;
 };
 
-/** Fixed-bucket histogram over [0, bucketWidth * buckets). */
-class Distribution
-{
-  public:
-    Distribution(double bucket_width = 100.0, std::size_t buckets = 64)
-        : _width(bucket_width), _counts(buckets, 0)
-    {
-        IDYLL_ASSERT(bucket_width > 0.0, "non-positive bucket width");
-        IDYLL_ASSERT(buckets > 0, "zero buckets");
-    }
+// A group holds the registration, so a statistic is only its value.
+static_assert(sizeof(Counter) == 8 && sizeof(AvgStat) == 16);
 
-    void
-    sample(double v)
-    {
-        std::size_t idx = v < 0.0 ? 0 : static_cast<std::size_t>(v / _width);
-        if (idx >= _counts.size())
-            idx = _counts.size() - 1;
-        ++_counts[idx];
-        _all.sample(v);
-    }
-
-    const std::vector<std::uint64_t> &buckets() const { return _counts; }
-    double bucketWidth() const { return _width; }
-    const AvgStat &summary() const { return _all; }
-
-  private:
-    double _width;
-    std::vector<std::uint64_t> _counts;
-    AvgStat _all;
-};
-
-/**
- * Named node in the metrics tree. Owns its child groups, so a whole
- * registry can be built and handed around as one unique_ptr.
- */
+/** Named node in the metrics tree. */
 class MetricsGroup
 {
   public:
@@ -154,23 +123,13 @@ class MetricsGroup
         _labels[key] = value;
     }
 
-    const std::map<std::string, std::string> &labels() const
-    {
-        return _labels;
-    }
-
-    void registerCounter(const std::string &name, const Counter *c);
-    void registerAvg(const std::string &name, const AvgStat *a);
-    void registerDist(const std::string &name, const Distribution *d);
-
-    /** Create (or fetch an existing) owned child group. */
-    MetricsGroup &child(const std::string &name);
+    /** Attach @p child below this group, after the children so far. */
+    void addChild(const MetricsGroup &child) { _children.push_back(&child); }
 
     /**
      * Recursively print "group.stat value" lines: counters first (in
      * name order), then averages as .mean/.count pairs, then children
-     * in creation order. Byte-compatible with the historical
-     * StatGroup::dump output.
+     * in attach order.
      */
     void dump(std::ostream &os, const std::string &prefix = "") const;
 
@@ -178,32 +137,40 @@ class MetricsGroup
      * Serialize this subtree as one nested JSON object:
      *   {"labels": {...}, "counters": {...},
      *    "avgs": {"x": {"mean": M, "count": N}},
-     *    "dists": {"y": {"width": W, "buckets": [...]}},
      *    "children": {"gpu0": {...}}}
-     * Empty sections are omitted; keys iterate in sorted order, so
-     * output is deterministic.
+     * Empty sections are omitted; labels, counters and averages are
+     * in name order and children in attach order, so output is
+     * deterministic.
      */
     std::string toJson() const;
 
-    /** Look up a counter by dotted path relative to this group. */
-    const Counter *findCounter(const std::string &path) const;
-
-    /** Look up an average by dotted path relative to this group. */
-    const AvgStat *findAvg(const std::string &path) const;
-
   private:
+    friend class Counter;
+    friend class AvgStat;
+
+    template <typename Stat>
+    using Named = std::vector<std::pair<const char *, const Stat *>>;
+
     void jsonInto(std::ostream &os) const;
 
     std::string _name;
     std::map<std::string, std::string> _labels;
-    std::map<std::string, const Counter *> _counters;
-    std::map<std::string, const AvgStat *> _avgs;
-    std::map<std::string, const Distribution *> _dists;
-    std::vector<std::unique_ptr<MetricsGroup>> _children;
+    // Registration order: a statistic adds one pointer pair and no
+    // string. dump() and toJson() sort a copy by name.
+    Named<Counter> _counters;
+    Named<AvgStat> _avgs;
+    std::vector<const MetricsGroup *> _children;
 };
 
-/** The root of a metrics tree (alias; the root is just a group). */
-using MetricsRegistry = MetricsGroup;
+inline Counter::Counter(MetricsGroup &group, const char *name)
+{
+    group._counters.emplace_back(name, this);
+}
+
+inline AvgStat::AvgStat(MetricsGroup &group, const char *name)
+{
+    group._avgs.emplace_back(name, this);
+}
 
 } // namespace idyll
 

@@ -19,11 +19,15 @@ UvmDriver::UvmDriver(EventQueue &eq, const SystemConfig &cfg, Network &net,
     for (std::uint32_t g = 0; g < cfg.numGpus; ++g)
         _gpuMem.emplace_back(g, cfg.gpuMemPages);
 
-    if (cfg.invalFilter == InvalFilter::InPteDirectory)
+    if (cfg.invalFilter == InvalFilter::InPteDirectory) {
         _dir = std::make_unique<InPteDirectory>(cfg.numGpus,
                                                 cfg.directoryBits);
-    if (cfg.invalFilter == InvalFilter::InMemDirectory)
+        _stats.addChild(_dir->stats());
+    }
+    if (cfg.invalFilter == InvalFilter::InMemDirectory) {
         _vmDir = std::make_unique<VmDirectory>(cfg.vmCache, cfg.numGpus);
+        _stats.addChild(_vmDir->stats());
+    }
 }
 
 const HostPage::Replica *

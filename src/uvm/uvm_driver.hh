@@ -41,42 +41,60 @@ namespace idyll
 class TranslationOracle;
 
 /** Driver statistics (also feeds several paper figures). */
-struct DriverStats
+struct DriverStats : MetricsGroup
 {
-    Counter farFaults;
-    Counter blockedFaults;       ///< faults that hit a migrating page
-    AvgStat faultResolveLatency; ///< raise -> mapping reply sent
-    Counter firstTouches;
-    Counter remoteMappings;
-    Counter replications;
-    Counter collapses;
+    DriverStats() : MetricsGroup("driver") {}
 
-    Counter migrationRequests;
-    Counter duplicateMigrationRequests;
-    Counter migrations;
-    AvgStat migrationWait;  ///< request arrival -> data transfer start
-    AvgStat migrationTotal; ///< request arrival -> mapping installed
+    Counter farFaults{*this, "farFaults"};
+    /// faults that hit a migrating page
+    Counter blockedFaults{*this, "blockedFaults"};
+    /// raise -> mapping reply sent
+    AvgStat faultResolveLatency{*this, "faultResolveLatency"};
+    Counter firstTouches{*this, "firstTouches"};
+    Counter remoteMappings{*this, "remoteMappings"};
+    Counter replications{*this, "replications"};
+    Counter collapses{*this, "collapses"};
 
-    Counter invalSent;
-    Counter invalNecessary;   ///< target held a valid mapping
-    Counter invalUnnecessary; ///< target held nothing (wasted walk)
-    Counter invalAcks;
-    Counter invalRetries;        ///< re-sent unacked invalidations
-    Counter invalRetryTimeouts;  ///< retry timer firings with work
-    Counter duplicateAcks;       ///< same (gpu, round) acked twice
-    Counter staleAcks;           ///< ack for a superseded round
+    Counter migrationRequests{*this, "migrationRequests"};
+    Counter duplicateMigrationRequests{*this, "duplicateMigrationRequests"};
+    Counter migrations{*this, "migrations"};
+    /// request arrival -> data transfer start
+    AvgStat migrationWait{*this, "migrationWait"};
+    /// request arrival -> mapping installed
+    AvgStat migrationTotal{*this, "migrationTotal"};
 
-    AvgStat hostWalkLatency;
+    Counter invalSent{*this, "invalSent"};
+    /// target held a valid mapping
+    Counter invalNecessary{*this, "invalNecessary"};
+    /// target held nothing (wasted walk)
+    Counter invalUnnecessary{*this, "invalUnnecessary"};
+    Counter invalAcks{*this, "invalAcks"};
+    /// re-sent unacked invalidations
+    Counter invalRetries{*this, "invalRetries"};
+    /// retry timer firings with work
+    Counter invalRetryTimeouts{*this, "invalRetryTimeouts"};
+    /// same (gpu, round) acked twice
+    Counter duplicateAcks{*this, "duplicateAcks"};
+    /// ack for a superseded round
+    Counter staleAcks{*this, "staleAcks"};
+
+    AvgStat hostWalkLatency{*this, "hostWalkLatency"};
 
     // --- device-loss fault domain ---------------------------------
-    Counter gpusUnplugged;
-    Counter gpusReattached;
-    Counter quarantinedMessages; ///< messages from a dead GPU ignored
-    Counter invalSelfAcks;       ///< dead-target acks satisfied locally
-    Counter abortedMigrations;   ///< migrations torn down by an unplug
-    Counter rehomedPages;        ///< pages recovered via host backing
-    Counter replicasPromoted;    ///< surviving replicas made primary
-    Counter orphanShootdowns;    ///< survivor PTEs into dead memory dropped
+    Counter gpusUnplugged{*this, "gpusUnplugged"};
+    Counter gpusReattached{*this, "gpusReattached"};
+    /// messages from a dead GPU ignored
+    Counter quarantinedMessages{*this, "quarantinedMessages"};
+    /// dead-target acks satisfied locally
+    Counter invalSelfAcks{*this, "invalSelfAcks"};
+    /// migrations torn down by an unplug
+    Counter abortedMigrations{*this, "abortedMigrations"};
+    /// pages recovered via host backing
+    Counter rehomedPages{*this, "rehomedPages"};
+    /// surviving replicas made primary
+    Counter replicasPromoted{*this, "replicasPromoted"};
+    /// survivor PTEs into dead memory dropped
+    Counter orphanShootdowns{*this, "orphanShootdowns"};
 };
 
 /**

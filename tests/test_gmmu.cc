@@ -177,7 +177,7 @@ TEST_F(GmmuFixture, NinthWalkWaitsForAFreeWalker)
     eq.run();
     ASSERT_EQ(completions.size(), 9u);
     // The 9th walk could only start once a walker freed up.
-    EXPECT_GT(gmmu.stats().queueWait.max(), 0.0);
+    EXPECT_GT(gmmu.stats().queueWait.sum(), 0.0);
     EXPECT_EQ(gmmu.stats().demandWalks.value(), 9u);
 }
 
@@ -273,7 +273,7 @@ TEST_F(GmmuFixture, FullWalkQueueNacksAndRetries)
     EXPECT_GT(small.stats().queueFullStalls.value(), 0u);
     // The NACK spins land in the request's queue wait (and from
     // there in the ptw-queue latency phase).
-    EXPECT_GT(small.stats().queueWait.max(), 0.0);
+    EXPECT_GT(small.stats().queueWait.sum(), 0.0);
 
     cfg.walkQueueEntries = 64;
     Gmmu roomy(eq, cfg, kLayout4K, pt);

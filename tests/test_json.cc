@@ -18,6 +18,7 @@
 #include "harness/system.hh"
 #include "harness/tables.hh"
 #include "sim/json.hh"
+#include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "workloads/workload.hh"
 
@@ -259,6 +260,18 @@ TEST(JsonWriters, BenchMetricsParse)
     EXPECT_EQ(v["schema"].asU64(), 1u);
     EXPECT_EQ(v["metrics"]["steadyP99"].asU64(), 11776u);
     EXPECT_EQ(v["metrics"]["eventsPerSec"].asDouble(), 0.1 + 0.2);
+}
+
+TEST(JsonWriters, MetricsMeanRoundTrips)
+{
+    MetricsGroup group("system");
+    AvgStat third{group, "third"};
+    third.sample(1.0);
+    third.sample(0.0);
+    third.sample(0.0);
+    const JsonValue v = mustParse(group.toJson());
+    EXPECT_EQ(v["avgs"]["third"]["mean"].asDouble(), 1.0 / 3.0);
+    EXPECT_EQ(v["avgs"]["third"]["count"].asU64(), 3u);
 }
 
 TEST(JsonWriters, TraceLineParses)

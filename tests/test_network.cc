@@ -75,7 +75,7 @@ TEST_F(NetFixture, BackToBackMessagesQueueFifo)
     // cycles: 14 + 1 + 250.
     EXPECT_EQ(first, 264u);
     EXPECT_EQ(second, 265u);
-    EXPECT_GT(net->queueDelay().max(), 0.0);
+    EXPECT_GT(net->queueDelay().sum(), 0.0);
 }
 
 TEST_F(NetFixture, ControlBypassesBulkOnItsOwnLane)

@@ -37,6 +37,28 @@ TEST(StatsDump, ContainsDriverAndPerGpuSections)
     EXPECT_NE(out.find("demandTlbMissLatency.mean"), std::string::npos);
 }
 
+TEST(StatsDump, PrintsEveryDeclaredStatistic)
+{
+    // Statistics that reach the dump only by being declared in their
+    // component's group: no list names them.
+    SystemConfig cfg = SystemConfig::idyllFull();
+    cfg.cusPerGpu = 4;
+    cfg.warpsPerCu = 2;
+    cfg.accessCounterThreshold = 8;
+    cfg.prepopulate = Prepopulate::HomeShard;
+    MultiGpuSystem sys(cfg);
+    sys.run(Workload::byName("KM", 0.05));
+
+    std::ostringstream os;
+    sys.dumpStats(os);
+    const std::string out = os.str();
+    for (const char *line :
+         {"\nsystem.driver.invalAcks ", "\nsystem.gpu0.mshrRetries ",
+          "\nsystem.gpu0.gmmu.batchWalks ", "\nsystem.gpu0.irmb.merges ",
+          "\nsystem.driver.directory.broadcastAvoided "})
+        EXPECT_NE(out.find(line), std::string::npos) << line;
+}
+
 TEST(StatsDump, ValuesMatchDirectReads)
 {
     SystemConfig cfg = SystemConfig::baseline();
