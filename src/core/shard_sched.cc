@@ -24,6 +24,7 @@ ShardScheduler::ShardScheduler(EventQueue &root, std::uint32_t shards,
         _extra.push_back(std::move(q));
     }
     _outboxes.resize(static_cast<std::size_t>(shards) * shards);
+    _metrics.setLabel("lookahead", std::to_string(lookahead));
     for (std::uint32_t s = 0; s < shards; ++s)
         _metrics.addChild(_stats.emplace_back(s));
     _prevExecuted.assign(shards, 0);

@@ -83,10 +83,9 @@ class ShardScheduler : public ShardRouter
 
     /**
      * Per-shard heartbeat counters, refreshed at every rendezvous on
-     * the main thread. Dumped by --stats under metrics() and
-     * serialized as the results-JSON shard telemetry section; safe to
-     * read whenever the run is quiescent (between windows or after
-     * runSharded returns).
+     * the main thread. Dumped by --stats and serialized as part of
+     * metrics(); safe to read whenever the run is quiescent (between
+     * windows or after runSharded returns).
      */
     struct ShardStats : MetricsGroup
     {
@@ -111,9 +110,10 @@ class ShardScheduler : public ShardRouter
     const ShardStats &shardStats(std::uint32_t shard) const;
 
     /**
-     * The "shards" group: rendezvous windows and every ShardStats.
-     * Kept out of the system's tree so the results-JSON metrics stay
-     * identical across shard counts.
+     * The "shards" group: rendezvous windows, a "lookahead" label and
+     * every ShardStats. Kept out of the system's tree so the
+     * results-JSON metrics stay identical across shard counts; the
+     * results' shardTelemetry member is this group's JSON.
      */
     const MetricsGroup &metrics() const { return _metrics; }
 

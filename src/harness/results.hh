@@ -8,13 +8,18 @@
 #define IDYLL_HARNESS_RESULTS_HH
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/types.hh"
 
 namespace idyll
 {
+
+class JsonValue;
 
 /** One run's headline numbers. */
 struct SimResults
@@ -126,16 +131,31 @@ struct SimResults
     double shardImbalancePct = 0.0;
     /** Percent of (window, shard) slots that dispatched nothing. */
     double lookaheadStallPct = 0.0;
-    /** Per-shard heartbeat JSON ({"shards":..,"perShard":[..]}). */
+    /** The scheduler's "shards" metrics group as JSON. */
     std::string shardTelemetryJson;
 
+    struct Field;
+
+    /** Every serialized member, in output order (see Field). */
+    static std::span<const Field> fields();
+
     /**
-     * Serialize every field as one JSON object (single line, keys in
-     * declaration order). Doubles round-trip exactly
-     * (max_digits10), so serialized results compare bit-identical
-     * across runs. See README.md for the schema.
+     * Serialize fields() as one JSON object (single line, members in
+     * table order, each only when its condition holds). Doubles
+     * round-trip exactly (max_digits10), so serialized results
+     * compare bit-identical across runs. See README.md for the schema.
      */
     std::string toJson() const;
+
+    /**
+     * Read a toJson object back through fields(). An absent member
+     * keeps its default; raw-JSON members are not read (walk them
+     * with JsonValue). Returns nullopt and, when @p error is
+     * non-null, a message naming the key when the value is not an
+     * object or a member has the wrong type.
+     */
+    static std::optional<SimResults> fromJson(const JsonValue &json,
+                                              std::string *error = nullptr);
 
     /** Speedup of this run relative to @p base (higher is better). */
     double
@@ -156,6 +176,27 @@ struct SimResults
                           : static_cast<double>(invalWalks) /
                                 static_cast<double>(total);
     }
+};
+
+/** One results-JSON member: its name and the SimResults member. */
+struct SimResults::Field
+{
+    /** A member holding a sub-system's own JSON text: written as is
+     *  when non-empty, never read back by fromJson. */
+    struct Raw
+    {
+        std::string SimResults::*text;
+    };
+
+    using Member =
+        std::variant<std::uint64_t SimResults::*, double SimResults::*,
+                     std::string SimResults::*,
+                     std::vector<std::uint64_t> SimResults::*, Raw>;
+
+    const char *name;
+    Member member;
+    /** Written only when this holds (nullptr: always). */
+    bool (*when)(const SimResults &) = nullptr;
 };
 
 } // namespace idyll

@@ -673,22 +673,7 @@ MultiGpuSystem::collectResults(const std::string &app) const
             windows ? 100.0 * static_cast<double>(stallTotal) /
                           (static_cast<double>(windows) * n)
                     : 0.0;
-        std::ostringstream os;
-        os << "{\"shards\":" << n << ",\"windows\":" << windows
-           << ",\"lookahead\":" << _sharder->lookahead()
-           << ",\"perShard\":[";
-        for (std::uint32_t s = 0; s < n; ++s) {
-            const auto &st = _sharder->shardStats(s);
-            os << (s ? "," : "") << "{\"shard\":" << s
-               << ",\"lastTick\":" << st.lastTick.value()
-               << ",\"executed\":" << st.executed.value()
-               << ",\"stallWindows\":" << st.stallWindows.value()
-               << ",\"depositsIn\":" << st.depositsIn.value()
-               << ",\"depositsOut\":" << st.depositsOut.value()
-               << "}";
-        }
-        os << "]}";
-        r.shardTelemetryJson = os.str();
+        r.shardTelemetryJson = _sharder->metrics().toJson();
     }
 
     if (_digestSink)

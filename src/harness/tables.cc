@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <iomanip>
-#include <sstream>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -86,140 +85,6 @@ ResultTable::print(std::ostream &os, int precision) const
         os << "\n";
     }
     os.flush();
-}
-
-namespace
-{
-
-/** Streams `"key": value` members with JSON punctuation. */
-class JsonObject
-{
-  public:
-    explicit JsonObject(std::ostream &os) : _os(os) { _os << "{"; }
-
-    /** Start member @p name; the caller streams its value (raw JSON
-     *  from a sub-system, for one). */
-    std::ostream &
-    key(const char *name)
-    {
-        _os << _sep << "\"" << name << "\": ";
-        _sep = ", ";
-        return _os;
-    }
-
-    void add(const char *name, std::uint64_t v) { key(name) << v; }
-    void add(const char *name, double v) { key(name) << jsonNumber(v); }
-
-    void
-    add(const char *name, const std::string &value)
-    {
-        key(name) << "\"" << jsonEscape(value) << "\"";
-    }
-
-    void
-    add(const char *name, const std::vector<std::uint64_t> &values)
-    {
-        key(name) << "[";
-        for (std::size_t i = 0; i < values.size(); ++i)
-            _os << (i ? ", " : "") << values[i];
-        _os << "]";
-    }
-
-    void close() { _os << "}"; }
-
-  private:
-    std::ostream &_os;
-    const char *_sep = "";
-};
-
-} // namespace
-
-std::string
-SimResults::toJson() const
-{
-    std::ostringstream os;
-    JsonObject obj(os);
-    obj.add("app", app);
-    obj.add("scheme", scheme);
-    obj.add("execTicks", static_cast<std::uint64_t>(execTicks));
-    obj.add("instructions", instructions);
-    obj.add("accesses", accesses);
-    obj.add("localAccesses", localAccesses);
-    obj.add("remoteAccesses", remoteAccesses);
-    obj.add("l1Hits", l1Hits);
-    obj.add("l1Misses", l1Misses);
-    obj.add("l2Hits", l2Hits);
-    obj.add("l2Misses", l2Misses);
-    obj.add("mpki", mpki);
-    obj.add("demandTlbMisses", demandTlbMisses);
-    obj.add("demandMissLatencyAvg", demandMissLatencyAvg);
-    obj.add("demandMissLatencyTotal", demandMissLatencyTotal);
-    obj.add("farFaults", farFaults);
-    obj.add("faultResolveLatencyAvg", faultResolveLatencyAvg);
-    obj.add("demandWalks", demandWalks);
-    obj.add("invalWalks", invalWalks);
-    obj.add("updateWalks", updateWalks);
-    obj.add("pwcHits", pwcHits);
-    obj.add("pwcMisses", pwcMisses);
-    obj.add("pwcStaleDrops", pwcStaleDrops);
-    obj.add("mmuCacheLevelHits", mmuCacheLevelHits);
-    obj.add("mmuCacheLevelMisses", mmuCacheLevelMisses);
-    obj.add("walkQueueFullStalls", walkQueueFullStalls);
-    obj.add("l2SubConflicts", l2SubConflicts);
-    obj.add("l2DeadEvictions", l2DeadEvictions);
-    obj.add("busyDemandCycles", busyDemandCycles);
-    obj.add("busyInvalCycles", busyInvalCycles);
-    obj.add("invalSent", invalSent);
-    obj.add("invalNecessary", invalNecessary);
-    obj.add("invalUnnecessary", invalUnnecessary);
-    obj.add("invalServiceLatencyTotal", invalServiceLatencyTotal);
-    obj.add("migrationRequests", migrationRequests);
-    obj.add("migrations", migrations);
-    obj.add("migrationWaitAvg", migrationWaitAvg);
-    obj.add("migrationWaitTotal", migrationWaitTotal);
-    obj.add("migrationTotalAvg", migrationTotalAvg);
-    obj.add("irmbInserts", irmbInserts);
-    obj.add("irmbLookupHits", irmbLookupHits);
-    obj.add("irmbElided", irmbElided);
-    obj.add("irmbWrittenBack", irmbWrittenBack);
-    obj.add("irmbEvictions", irmbEvictions);
-    obj.add("transFwForwarded", transFwForwarded);
-    obj.add("vmCacheHits", vmCacheHits);
-    obj.add("vmCacheMisses", vmCacheMisses);
-    obj.add("sharingBuckets", sharingBuckets);
-    obj.add("networkBytes", networkBytes);
-    // Host timings are emitted only when measured: they differ run to
-    // run, and CI compares serialized results byte-for-byte.
-    if (hostSeconds > 0.0) {
-        obj.add("hostSeconds", hostSeconds);
-        obj.add("eventsExecuted", eventsExecuted);
-        obj.add("eventsPerSec", eventsPerSec);
-    }
-    if (!traceDigest.empty())
-        obj.add("traceDigest", traceDigest);
-    if (!metricsJson.empty())
-        obj.key("metrics") << metricsJson;
-    if (latDemandCount || latInvalCount) {
-        obj.add("latDemandCount", latDemandCount);
-        obj.add("latDemandCycles", latDemandCycles);
-        obj.add("latInvalCount", latInvalCount);
-        obj.add("latInvalCycles", latInvalCycles);
-        obj.add("latDemandPhaseCycles", latDemandPhaseCycles);
-        obj.add("latInvalPhaseCycles", latInvalPhaseCycles);
-    }
-    if (!latencyJson.empty())
-        obj.key("latency") << latencyJson;
-    if (!samplesJson.empty())
-        obj.key("samples") << samplesJson;
-    // Run-shape telemetry (hostStats && sharded): omitted otherwise so
-    // serialized results stay byte-identical across shard counts.
-    if (!shardTelemetryJson.empty()) {
-        obj.add("shardImbalancePct", shardImbalancePct);
-        obj.add("lookaheadStallPct", lookaheadStallPct);
-        obj.key("shardTelemetry") << shardTelemetryJson;
-    }
-    obj.close();
-    return os.str();
 }
 
 void

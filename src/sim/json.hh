@@ -28,6 +28,7 @@ class JsonValue
 
     bool isNull() const { return _kind == Kind::Null; }
     bool isObject() const { return _kind == Kind::Object; }
+    bool isArray() const { return _kind == Kind::Array; }
 
     /** Object members in text order; array elements (else empty). */
     const std::vector<Member> &members() const { return _members; }

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "harness/bench_compare.hh"
 #include "harness/chaos.hh"
@@ -190,8 +194,17 @@ TEST(JsonWriters, SimResultsWithLatencySamplerAndShardsParse)
     for (const JsonValue &ch : v["samples"]["channels"].items())
         hostChannel = hostChannel || ch["gpu"].asI64() == -1;
     EXPECT_TRUE(hostChannel);
-    EXPECT_EQ(v["shardTelemetry"]["shards"].asU64(), 2u);
-    EXPECT_EQ(v["shardTelemetry"]["perShard"].items().size(), 2u);
+    const JsonValue &shards = v["shardTelemetry"];
+    EXPECT_TRUE(shards["counters"]["windows"].asU64().has_value());
+    EXPECT_EQ(shards["labels"]["lookahead"].asString(),
+              std::to_string(std::min(cfg.interGpuLink.latency,
+                                      cfg.hostLink.latency)));
+    ASSERT_EQ(shards["children"].members().size(), 2u);
+    EXPECT_EQ(shards["children"]["shard1"]["labels"]["shard"].asString(),
+              "1");
+    EXPECT_TRUE(shards["children"]["shard1"]["counters"]["executed"]
+                    .asU64()
+                    .has_value());
     EXPECT_EQ(v["shardImbalancePct"].asDouble(), r.shardImbalancePct);
     EXPECT_TRUE(v["metrics"]["children"]["driver"]["counters"]
                  ["quarantinedMessages"]
@@ -211,6 +224,70 @@ TEST(JsonWriters, SimResultsWithLatencySamplerAndShardsParse)
     ASSERT_EQ(suite["results"].items().size(), 1u);
     EXPECT_EQ(suite["results"].items()[0]["execTicks"].asU64(),
               r.execTicks);
+}
+
+TEST(SimResults, FromJsonRoundTripsEveryField)
+{
+    SystemConfig cfg = scaledForSim(SystemConfig::idyllFull());
+    cfg.numGpus = 4;
+    cfg.cusPerGpu = 4;
+    cfg.shards = 2;
+    cfg.hostStats = true;
+    cfg.latency.enabled = true;
+    cfg.sampler.everyCycles = 1000;
+    cfg.trace.categories = "all";
+    MultiGpuSystem sys(cfg);
+    const SimResults r = sys.run(Workload::byName("KM", 0.02));
+
+    std::string error;
+    const auto back = SimResults::fromJson(mustParse(r.toJson()), &error);
+    ASSERT_TRUE(back) << error;
+    for (const SimResults::Field &field : SimResults::fields()) {
+        // Every conditional group is on in this run, so each field
+        // is written and read back.
+        EXPECT_TRUE(!field.when || field.when(r)) << field.name;
+        std::visit(
+            [&](auto member) {
+                using M = decltype(member);
+                if constexpr (std::is_same_v<M, SimResults::Field::Raw>) {
+                    EXPECT_FALSE((r.*member.text).empty()) << field.name;
+                    EXPECT_TRUE((*back.*member.text).empty())
+                        << field.name;
+                } else if constexpr (std::is_same_v<
+                                         M, double SimResults::*>) {
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.*member),
+                              std::bit_cast<std::uint64_t>(*back.*member))
+                        << field.name;
+                } else {
+                    EXPECT_EQ(r.*member, *back.*member) << field.name;
+                }
+            },
+            field.member);
+    }
+}
+
+TEST(SimResults, FromJsonRejectsMistypedMembers)
+{
+    for (const char *bad : {R"({"execTicks": -1})", R"({"mpki": "x"})",
+                            R"({"app": 3})", R"({"sharingBuckets": 1})",
+                            R"({"latDemandPhaseCycles": [1, 0.5]})"}) {
+        const JsonValue v = mustParse(bad);
+        const std::string key = v.members()[0].key;
+        std::string error;
+        EXPECT_FALSE(SimResults::fromJson(v, &error)) << bad;
+        EXPECT_NE(error.find("\"" + key + "\""), std::string::npos)
+            << error;
+    }
+    std::string error;
+    EXPECT_FALSE(SimResults::fromJson(mustParse("[1]"), &error));
+    EXPECT_FALSE(error.empty());
+    // Absent members keep their defaults; raw members are skipped.
+    const auto partial = SimResults::fromJson(
+        mustParse(R"({"execTicks": 7, "metrics": {"counters": {}}})"));
+    ASSERT_TRUE(partial);
+    EXPECT_EQ(partial->execTicks, 7u);
+    EXPECT_EQ(partial->instructions, 0u);
+    EXPECT_TRUE(partial->metricsJson.empty());
 }
 
 TEST(JsonWriters, ServeReportParses)

@@ -14,8 +14,10 @@
  * listed but carry no table (and fail --check).
  *
  * Each FILE is parsed whole (sim/json.hh): either one results object
- * or a suite document whose "results" array holds them. A file that
- * is not valid JSON is an error naming the byte offset.
+ * or a suite document whose "results" array holds them, each read by
+ * SimResults::fromJson. A file that is not valid JSON is an error
+ * naming the byte offset; a mistyped member, or attribution counts
+ * without their phase arrays, is an error naming the file.
  */
 
 #include <algorithm>
@@ -24,10 +26,12 @@
 #include <iomanip>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/results.hh"
 #include "sim/json.hh"
 #include "sim/latency.hh"
 
@@ -62,36 +66,25 @@ largest(const std::vector<std::uint64_t> &values)
         std::max_element(values.begin(), values.end()) - values.begin());
 }
 
-/** One shard's heartbeat row from the shardTelemetry section. */
-struct ShardRow
+/** One results object: its SimResults fields plus what the report
+ *  takes from its raw-JSON members. */
+struct Run : idyll::SimResults
 {
-    std::uint64_t shard = 0, lastTick = 0, executed = 0;
-    std::uint64_t stallWindows = 0, depositsIn = 0, depositsOut = 0;
-};
+    explicit Run(idyll::SimResults sim) : SimResults(std::move(sim)) {}
 
-/** One results object's attribution and shard numbers. */
-struct Run
-{
-    std::string app, scheme, file;
-    std::uint64_t demandCount = 0, demandCycles = 0;
-    std::uint64_t invalCount = 0, invalCycles = 0;
-    std::vector<std::uint64_t> demandPhases, invalPhases;
+    std::string file;
     // Demand end-to-end histogram summary (from the "latency" blob).
     std::uint64_t p50 = 0, p95 = 0, p99 = 0, max = 0;
-    bool hasLatency = false;
-    // Shard telemetry (runs with --shards N --host-stats).
-    bool hasShards = false;
-    double imbalancePct = 0.0, stallPct = 0.0;
-    std::uint64_t windows = 0, lookahead = 0;
-    std::vector<ShardRow> shardRows;
+    /** The "shards" metrics group (runs with --shards N --host-stats). */
+    JsonValue shards;
 
     std::string label() const { return app + " / " + scheme; }
 
     double
     share(std::size_t phase) const
     {
-        return phase < demandPhases.size()
-                   ? pct(demandPhases[phase], demandCycles)
+        return phase < latDemandPhaseCycles.size()
+                   ? pct(latDemandPhaseCycles[phase], latDemandCycles)
                    : 0.0;
     }
 };
@@ -102,51 +95,40 @@ u64(const JsonValue &value)
     return value.asU64().value_or(0);
 }
 
-/** One SimResults::toJson object as a Run. */
-Run
-readRun(const JsonValue &result, const std::string &path)
+/** One SimResults::toJson object as a Run; nullopt (and why in
+ *  @p error) when a member is mistyped or attribution is partial. */
+std::optional<Run>
+readRun(const JsonValue &result, const std::string &path,
+        std::string &error)
 {
-    Run run;
+    auto sim = idyll::SimResults::fromJson(result, &error);
+    if (!sim)
+        return std::nullopt;
+    Run run(std::move(*sim));
+    if ((run.latDemandCount || run.latInvalCount) &&
+        (run.latDemandPhaseCycles.size() != idyll::kNumLatencyPhases ||
+         run.latInvalPhaseCycles.size() != idyll::kNumLatencyPhases)) {
+        error = run.label() + ": attribution without " +
+                std::to_string(idyll::kNumLatencyPhases) +
+                " phase entries";
+        return std::nullopt;
+    }
     run.file = path;
-    run.app = result["app"].asString().value_or("");
-    run.scheme = result["scheme"].asString().value_or("");
-    run.hasLatency = result.find("latDemandCount") != nullptr;
-    run.demandCount = u64(result["latDemandCount"]);
-    run.demandCycles = u64(result["latDemandCycles"]);
-    run.invalCount = u64(result["latInvalCount"]);
-    run.invalCycles = u64(result["latInvalCycles"]);
-    for (const JsonValue &cycles : result["latDemandPhaseCycles"].items())
-        run.demandPhases.push_back(u64(cycles));
-    for (const JsonValue &cycles : result["latInvalPhaseCycles"].items())
-        run.invalPhases.push_back(u64(cycles));
     // The demand end-to-end distribution.
     const JsonValue &total = result["latency"]["demand"]["total"];
     run.p50 = u64(total["p50"]);
     run.p95 = u64(total["p95"]);
     run.p99 = u64(total["p99"]);
     run.max = u64(total["max"]);
-    // Shard telemetry section (sharded runs with --host-stats).
-    if (const JsonValue *tel = result.find("shardTelemetry")) {
-        run.hasShards = true;
-        run.imbalancePct =
-            result["shardImbalancePct"].asDouble().value_or(0.0);
-        run.stallPct =
-            result["lookaheadStallPct"].asDouble().value_or(0.0);
-        run.windows = u64((*tel)["windows"]);
-        run.lookahead = u64((*tel)["lookahead"]);
-        for (const JsonValue &row : (*tel)["perShard"].items())
-            run.shardRows.push_back(
-                {u64(row["shard"]), u64(row["lastTick"]),
-                 u64(row["executed"]), u64(row["stallWindows"]),
-                 u64(row["depositsIn"]), u64(row["depositsOut"])});
-    }
+    run.shards = result["shardTelemetry"];
     return run;
 }
 
 /**
  * Every run in @p path: the file is one results object or a suite
  * document with a "results" array. Prints why and returns nothing
- * when the file cannot be read or is not valid JSON.
+ * when the file cannot be read, is not valid JSON or holds a
+ * malformed results object.
  */
 std::vector<Run>
 parseRuns(const std::string &path)
@@ -166,15 +148,22 @@ parseRuns(const std::string &path)
                   << ": " << error.message << "\n";
         return runs;
     }
+    // An object that names no app and scheme is not a run.
     auto add = [&](const JsonValue &result) {
-        if (result.find("app") && result.find("scheme"))
-            runs.push_back(readRun(result, path));
+        std::string why;
+        auto run = readRun(result, path, why);
+        if (!run)
+            std::cerr << "error: " << path << ": " << why << "\n";
+        else if (!run->app.empty() && !run->scheme.empty())
+            runs.push_back(std::move(*run));
+        return run.has_value();
     };
     if (const JsonValue *results = root->find("results")) {
         for (const JsonValue &result : results->items())
-            add(result);
-    } else {
-        add(*root);
+            if (!add(result))
+                return {};
+    } else if (!add(*root)) {
+        return {};
     }
     return runs;
 }
@@ -200,34 +189,36 @@ void
 printRun(const Run &run)
 {
     banner(run);
-    if (!run.hasLatency || !run.demandCount) {
+    if (!run.latDemandCount) {
         std::cout << "  (no latency attribution — run with --latency)\n";
         return;
     }
+    const auto &phases = run.latDemandPhaseCycles;
     std::cout << std::fixed << std::setprecision(1);
-    std::cout << "  demand requests " << run.demandCount << ", avg "
-              << avg(run.demandCycles, run.demandCount) << " cy, p50 "
+    std::cout << "  demand requests " << run.latDemandCount << ", avg "
+              << avg(run.latDemandCycles, run.latDemandCount) << " cy, p50 "
               << run.p50 << ", p95 " << run.p95 << ", p99 " << run.p99
               << ", max " << run.max << "\n";
     std::cout << "  phase             cycles            share\n";
-    for (std::size_t p = 0; p < run.demandPhases.size(); ++p) {
-        if (!run.demandPhases[p])
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+        if (!phases[p])
             continue;
         std::cout << "  " << std::left << std::setw(16) << phaseName(p)
-                  << std::right << std::setw(14) << run.demandPhases[p]
+                  << std::right << std::setw(14) << phases[p]
                   << std::setw(10) << run.share(p) << "%\n";
     }
-    const std::size_t dom = largest(run.demandPhases);
+    const std::size_t dom = largest(phases);
     std::cout << "  bottleneck: " << phaseName(dom) << ", "
               << run.share(dom) << "% of miss latency\n";
-    if (run.invalCount) {
-        std::cout << "  invalidation rounds " << run.invalCount
-                  << ", avg " << avg(run.invalCycles, run.invalCount)
+    if (run.latInvalCount) {
+        std::cout << "  invalidation rounds " << run.latInvalCount
+                  << ", avg " << avg(run.latInvalCycles, run.latInvalCount)
                   << " cy";
-        const std::size_t idom = largest(run.invalPhases);
-        if (run.invalCycles) {
+        const std::size_t idom = largest(run.latInvalPhaseCycles);
+        if (run.latInvalCycles) {
             std::cout << " (largest phase: " << phaseName(idom) << ", "
-                      << pct(run.invalPhases[idom], run.invalCycles)
+                      << pct(run.latInvalPhaseCycles[idom],
+                             run.latInvalCycles)
                       << "%)";
         }
         std::cout << "\n";
@@ -239,41 +230,54 @@ void
 printShards(const Run &run)
 {
     banner(run);
-    if (!run.hasShards || run.shardRows.empty()) {
+    const auto &shards = run.shards["children"].members();
+    if (shards.empty()) {
         std::cout << "  (no shard telemetry — run with --shards N "
                      "--host-stats)\n";
         return;
     }
+    // Each child is one ShardStats group: a "shard" label and its
+    // counters.
+    auto counter = [](const JsonValue::Member &shard, const char *name) {
+        return u64(shard.value["counters"][name]);
+    };
+    auto id = [](const JsonValue::Member &shard) {
+        return std::string(
+            shard.value["labels"]["shard"].asString().value_or(""));
+    };
     std::uint64_t total = 0, stallTotal = 0;
-    for (const ShardRow &row : run.shardRows) {
-        total += row.executed;
-        stallTotal += row.stallWindows;
+    for (const JsonValue::Member &shard : shards) {
+        total += counter(shard, "executed");
+        stallTotal += counter(shard, "stallWindows");
     }
     std::cout << std::fixed << std::setprecision(1);
-    std::cout << "  " << run.shardRows.size() << " shards, "
-              << run.windows << " windows (lookahead " << run.lookahead
-              << " cy), imbalance " << run.imbalancePct
-              << "%, stalled slots " << run.stallPct << "%\n";
+    std::cout << "  " << shards.size() << " shards, "
+              << u64(run.shards["counters"]["windows"])
+              << " windows (lookahead "
+              << run.shards["labels"]["lookahead"].asString().value_or("")
+              << " cy), imbalance " << run.shardImbalancePct
+              << "%, stalled slots " << run.lookaheadStallPct << "%\n";
     std::cout << "  shard      executed   share   stallWin    "
                  "depIn      depOut     lastTick\n";
-    for (const ShardRow &row : run.shardRows) {
+    for (const JsonValue::Member &shard : shards) {
+        const std::uint64_t executed = counter(shard, "executed");
         std::cout << "  " << std::left << std::setw(7)
-                  << (row.shard == 0 ? "0:host"
-                                     : std::to_string(row.shard))
-                  << std::right << std::setw(12) << row.executed
-                  << std::setw(7) << pct(row.executed, total) << "%"
-                  << std::setw(11)
-                  << row.stallWindows << std::setw(11)
-                  << row.depositsIn << std::setw(12) << row.depositsOut
-                  << std::setw(13) << row.lastTick << "\n";
+                  << (id(shard) == "0" ? "0:host" : id(shard))
+                  << std::right << std::setw(12) << executed
+                  << std::setw(7) << pct(executed, total) << "%"
+                  << std::setw(11) << counter(shard, "stallWindows")
+                  << std::setw(11) << counter(shard, "depositsIn")
+                  << std::setw(12) << counter(shard, "depositsOut")
+                  << std::setw(13) << counter(shard, "lastTick") << "\n";
     }
     // The busiest shard bounds the parallel speedup; name it.
-    const ShardRow *busiest = &run.shardRows[0];
-    for (const ShardRow &row : run.shardRows)
-        if (row.executed > busiest->executed)
-            busiest = &row;
-    std::cout << "  critical shard: " << busiest->shard << " ("
-              << pct(busiest->executed, total) << "% of events";
+    const JsonValue::Member *busiest = &shards[0];
+    for (const JsonValue::Member &shard : shards)
+        if (counter(shard, "executed") > counter(*busiest, "executed"))
+            busiest = &shard;
+    std::cout << "  critical shard: " << id(*busiest) << " ("
+              << pct(counter(*busiest, "executed"), total)
+              << "% of events";
     if (stallTotal)
         std::cout << "; " << stallTotal << " stalled shard-windows";
     std::cout << ")\n";
@@ -283,30 +287,32 @@ printShards(const Run &run)
 bool
 checkRun(const Run &run)
 {
-    if (!run.hasLatency || !run.demandCount) {
+    if (!run.latDemandCount) {
         std::cerr << "FAIL " << run.label()
                   << ": no latency attribution data\n";
         return false;
     }
-    const std::uint64_t dsum = std::accumulate(
-        run.demandPhases.begin(), run.demandPhases.end(), std::uint64_t{0});
-    const std::uint64_t isum = std::accumulate(
-        run.invalPhases.begin(), run.invalPhases.end(), std::uint64_t{0});
-    if (dsum != run.demandCycles) {
+    auto sum = [](const std::vector<std::uint64_t> &phases) {
+        return std::accumulate(phases.begin(), phases.end(),
+                               std::uint64_t{0});
+    };
+    const std::uint64_t dsum = sum(run.latDemandPhaseCycles);
+    const std::uint64_t isum = sum(run.latInvalPhaseCycles);
+    if (dsum != run.latDemandCycles) {
         std::cerr << "FAIL " << run.label() << ": demand phases sum to "
                   << dsum << " but end-to-end total is "
-                  << run.demandCycles << "\n";
+                  << run.latDemandCycles << "\n";
         return false;
     }
-    if (isum != run.invalCycles) {
+    if (isum != run.latInvalCycles) {
         std::cerr << "FAIL " << run.label()
                   << ": invalidation phases sum to " << isum
-                  << " but end-to-end total is " << run.invalCycles
+                  << " but end-to-end total is " << run.latInvalCycles
                   << "\n";
         return false;
     }
-    std::cout << "OK " << run.label() << ": " << run.demandCount
-              << " demand + " << run.invalCount
+    std::cout << "OK " << run.label() << ": " << run.latDemandCount
+              << " demand + " << run.latInvalCount
               << " invalidation requests, phases sum exactly\n";
     return true;
 }
@@ -317,8 +323,8 @@ diffRuns(const Run &a, const Run &b)
     std::cout << "-- " << a.label() << " (A: " << a.file << ")  vs  "
               << b.label() << " (B: " << b.file << ") --\n";
     std::cout << std::fixed << std::setprecision(1);
-    const double avgA = avg(a.demandCycles, a.demandCount);
-    const double avgB = avg(b.demandCycles, b.demandCount);
+    const double avgA = avg(a.latDemandCycles, a.latDemandCount);
+    const double avgB = avg(b.latDemandCycles, b.latDemandCount);
     std::cout << "  avg demand miss latency: " << avgA << " -> " << avgB
               << " cy";
     if (avgA > 0.0)
@@ -326,8 +332,8 @@ diffRuns(const Run &a, const Run &b)
                   << 100.0 * (avgB - avgA) / avgA << std::noshowpos
                   << "%)";
     std::cout << "\n  phase             share A   share B     delta\n";
-    const std::size_t n =
-        std::max(a.demandPhases.size(), b.demandPhases.size());
+    const std::size_t n = std::max(a.latDemandPhaseCycles.size(),
+                                   b.latDemandPhaseCycles.size());
     for (std::size_t p = 0; p < n; ++p) {
         const double sa = a.share(p), sb = b.share(p);
         if (sa == 0.0 && sb == 0.0)
